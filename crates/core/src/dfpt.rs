@@ -321,6 +321,31 @@ pub enum DirOutcome {
     Preempted(DfptDirState),
 }
 
+/// The Sternheimer update both DFPT drivers (serial and SPMD) apply to a
+/// complete `H¹`: the occupation-aware target `P¹` in GEMM form, valid for
+/// integer and Fermi–Dirac ground states alike. With a screening plan
+/// active, the MO transform skips the non-coupling `O*×O*`/`V*×V*` blocks
+/// and `C·W` restricts each column class to its coupling k-range —
+/// bit-identical to the dense contraction.
+pub(crate) fn sternheimer_target(
+    system: &System,
+    ground: &ScfResult,
+    c_t: &DMatrix,
+    h1: &DMatrix,
+) -> DMatrix {
+    let (c, eps, occ) = (&ground.orbitals, &ground.eigenvalues, &ground.occupations);
+    if system.screen().is_some() {
+        let h1_mo = h1_mo_screened(c_t, h1, c, occ);
+        sternheimer_response_screened(c, eps, occ, &h1_mo)
+    } else {
+        let h1_mo = c_t
+            .par_matmul(h1)
+            .and_then(|m| m.par_matmul(c))
+            .expect("conforming dims");
+        sternheimer_response(c, eps, occ, &h1_mo)
+    }
+}
+
 /// Build `P¹` from ground-state and response coefficients (Eq. 7, f = 2):
 /// the **DM** phase.
 pub fn response_density_matrix(c: &DMatrix, c1: &DMatrix, n_occ: usize) -> DMatrix {
@@ -440,9 +465,6 @@ pub fn dfpt_direction_preemptible(
 ) -> Result<DirOutcome> {
     let nb = system.n_basis();
     let dip = &shared.dips[dir];
-    let c = &ground.orbitals;
-    let eps = &ground.eigenvalues;
-
     let mut dir_span = qp_trace::SpanGuard::begin(
         qp_trace::thread_rank(),
         qp_trace::Phase::Dfpt,
@@ -537,20 +559,9 @@ pub fn dfpt_direction_preemptible(
         };
         h1.axpy(-1.0, dip)?;
 
-        // Sternheimer update in the MO basis (occupation-aware GEMM form —
-        // handles both integer and Fermi-Dirac ground states).  With a
-        // screening plan active, the MO transform skips the non-coupling
-        // O*×O*/V*×V* blocks and C·W restricts each column class to its
-        // coupling k-range — bit-identical to the dense contraction.
         let p1_target = {
             let _s = crate::phase_span(qp_trace::Phase::Sternheimer, "sternheimer");
-            if system.screen().is_some() {
-                let h1_mo = h1_mo_screened(&shared.c_t, &h1, c, &ground.occupations);
-                sternheimer_response_screened(c, eps, &ground.occupations, &h1_mo)
-            } else {
-                let h1_mo = shared.c_t.par_matmul(&h1)?.par_matmul(c)?;
-                sternheimer_response(c, eps, &ground.occupations, &h1_mo)
-            }
+            sternheimer_target(system, ground, &shared.c_t, &h1)
         };
 
         // Mix P¹ (DM phase): linear or Pulay/DIIS per `opts.mixer`.

@@ -6,16 +6,8 @@
 //! partitioned Hartree sum converges. The `direct` path is the oracle;
 //! `tree` serves atoms beyond the near radius from hierarchical cluster
 //! expansions (see `qp_grid::farfield`) within the `QP_FARFIELD_TOL`
-//! accuracy budget; `auto` picks `tree` only for structures large enough
-//! that the O(n²) direct sum is the dominant Rho cost.
-
-/// Structures at or above this many atoms use the cluster tree under
-/// [`FarFieldMode::Auto`]. Below it the direct sum is already cheap and —
-/// unlike screening — the tree path is *not* bit-identical (it is
-/// tolerance-bounded), so small systems keep the exact evaluator. All
-/// regression workloads (water = 3, ligand = 49, polymer:8 = 50 atoms)
-/// stay on the direct path under `auto`.
-pub const FARFIELD_AUTO_MIN_ATOMS: usize = 96;
+//! accuracy budget; `auto` picks `tree` only where the direct sum loses
+//! its precomputed geometry plan.
 
 /// User-facing far-field control (`--farfield direct|tree|auto`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,20 +16,27 @@ pub enum FarFieldMode {
     Direct,
     /// Always serve the far field from the hierarchical cluster tree.
     Tree,
-    /// Tree when the structure has at least [`FARFIELD_AUTO_MIN_ATOMS`]
-    /// atoms, direct otherwise.
+    /// Tree exactly when the Hartree geometry plan does not fit its size
+    /// cap (`System::hartree_plan()` is `None`), direct otherwise.
+    ///
+    /// Measured (DESIGN §14): while the plan fits, planned direct Rho beats
+    /// the tree (the tree took 1.9–5.5× as long at 50–194 atoms); past the
+    /// cap direct falls back to the unplanned sum and the tree wins (0.37–
+    /// 0.46× at 290–386 atoms). Unlike screening the tree is
+    /// tolerance-bounded, not bit-identical, so every system the planned
+    /// evaluator serves keeps the exact path.
     #[default]
     Auto,
 }
 
 impl FarFieldMode {
-    /// Whether a structure of `natoms` atoms evaluates its Hartree far
-    /// field through the cluster tree.
-    pub fn enabled(self, natoms: usize) -> bool {
+    /// Whether the Hartree far field goes through the cluster tree, given
+    /// whether the system's Hartree geometry plan fits its size cap.
+    pub fn enabled(self, hartree_plan_fits: bool) -> bool {
         match self {
             FarFieldMode::Direct => false,
             FarFieldMode::Tree => true,
-            FarFieldMode::Auto => natoms >= FARFIELD_AUTO_MIN_ATOMS,
+            FarFieldMode::Auto => !hartree_plan_fits,
         }
     }
 }
@@ -87,11 +86,14 @@ mod tests {
 
     #[test]
     fn auto_threshold_keeps_regression_workloads_direct() {
-        assert!(!FarFieldMode::Auto.enabled(3)); // water
-        assert!(!FarFieldMode::Auto.enabled(49)); // ligand
-        assert!(!FarFieldMode::Auto.enabled(50)); // polymer:8
-        assert!(FarFieldMode::Auto.enabled(FARFIELD_AUTO_MIN_ATOMS));
-        assert!(FarFieldMode::Tree.enabled(1));
-        assert!(!FarFieldMode::Direct.enabled(10_000));
+        // Auto resolves on the Hartree plan alone: direct while the planned
+        // evaluator fits (every regression workload, and polymer98), tree
+        // once it does not.
+        assert!(!FarFieldMode::Auto.enabled(true));
+        assert!(FarFieldMode::Auto.enabled(false));
+        for fits in [true, false] {
+            assert!(FarFieldMode::Tree.enabled(fits));
+            assert!(!FarFieldMode::Direct.enabled(fits));
+        }
     }
 }

@@ -43,7 +43,7 @@ pub mod system;
 pub use dfpt::{
     dfpt, dfpt_direction_preemptible, DfptDirState, DfptOptions, DfptResult, DfptShared, DirOutcome,
 };
-pub use farfield::{FarFieldMode, FARFIELD_AUTO_MIN_ATOMS};
+pub use farfield::FarFieldMode;
 pub use mixing::DfptMixer;
 pub use profile::{profile_case, validate_profile_json, ProfileOptions, ProfileReport};
 pub use resil::{parallel_dfpt_direction_resilient, ResilienceConfig, ResilientDirectionResult};

@@ -11,12 +11,14 @@
 //! 3. redundantly solves the radial Poisson problem ("trading redundant
 //!    calculations for communication avoidance", §4.2),
 //! 4. assembles its partial `H¹` block and AllReduces it,
-//! 5. performs the (replicated) Sternheimer update.
+//! 5. performs the (replicated) Sternheimer update and mixes `P¹` — the
+//!    serial driver's own [`crate::dfpt::sternheimer_target`] and mixer, so
+//!    integer and Fermi–Dirac ground states give the serial answer.
 //!
 //! Deterministic rank-ordered reductions make every rank take identical
 //! branches, so no extra control-flow synchronization is needed.
 
-use crate::dfpt::{response_density_matrix, DfptOptions};
+use crate::dfpt::{sternheimer_target, DfptOptions};
 use crate::mixing::{DfptMixer, MixState};
 use crate::operators;
 use crate::scf::ScfResult;
@@ -100,22 +102,17 @@ pub(crate) struct DirWork<'a> {
     fxc: Vec<f64>,
     /// `Cᵀ` — the MO transform's left factor, built once per direction.
     c_t: DMatrix,
-    /// The virtual-orbital columns `C_virt` (`nb × (nb − n_occ)`), the left
-    /// factor of the GEMM-form Sternheimer update.
-    c_virt: DMatrix,
     nb: usize,
-    n_occ: usize,
     n_lm: usize,
     row_len: usize,
     natoms: usize,
 }
 
-/// The loop-carried state of one rank's DFPT direction: the mixed `C¹`,
-/// its `P¹`, and the mixer history. Identical on every rank at each
+/// The loop-carried state of one rank's DFPT direction: the mixed `P¹`
+/// and the mixer history. Identical on every rank at each
 /// iteration boundary (deterministic collectives), which is what makes
 /// rank 0's checkpoint of it a consistent global cut.
 pub(crate) struct DirState {
-    pub(crate) c1: DMatrix,
     pub(crate) p1: DMatrix,
     pub(crate) mixer: MixState,
 }
@@ -129,9 +126,6 @@ impl<'a> DirWork<'a> {
         cfg: &ParallelConfig,
     ) -> Self {
         let n_lm = num_harmonics(system.lmax);
-        let nb = system.n_basis();
-        let n_occ = system.n_occupied();
-        let c = &ground.orbitals;
         DirWork {
             system,
             ground,
@@ -145,36 +139,31 @@ impl<'a> DirWork<'a> {
                 .iter()
                 .map(|&n| xc::f_xc(n.max(0.0)))
                 .collect(),
-            c_t: c.transpose(),
-            c_virt: DMatrix::from_fn(nb, nb - n_occ, |mu, a| c[(mu, n_occ + a)]),
-            nb,
-            n_occ,
+            c_t: ground.orbitals.transpose(),
+            nb: system.n_basis(),
             n_lm,
             row_len: system.grid.radial.len() * n_lm,
             natoms: system.structure.len(),
         }
     }
 
-    /// Fresh loop state (zero `C¹`/`P¹`, empty mixer history).
+    /// Fresh loop state (zero `P¹`, empty mixer history).
     pub(crate) fn initial_state(&self) -> DirState {
         DirState {
-            c1: DMatrix::zeros(self.nb, self.n_occ),
             p1: DMatrix::zeros(self.nb, self.nb),
             mixer: MixState::new(self.mixer, self.mixing),
         }
     }
 
-    /// Loop state restored from a checkpoint (`C¹`, `P¹` and the DIIS
-    /// history as captured; the histories are empty for the linear mixer).
+    /// Loop state restored from a checkpoint (`P¹` and the DIIS history as
+    /// captured; the histories are empty for the linear mixer).
     pub(crate) fn state_from(
         &self,
-        c1: DMatrix,
         p1: DMatrix,
         diis_in: Vec<DMatrix>,
         diis_res: Vec<DMatrix>,
     ) -> DirState {
         DirState {
-            c1,
             p1,
             mixer: MixState::with_history(self.mixer, self.mixing, diis_in, diis_res),
         }
@@ -201,10 +190,7 @@ impl<'a> DirWork<'a> {
         state: &mut DirState,
     ) -> std::result::Result<f64, CommError> {
         let system = self.system;
-        let (nb, n_occ, n_lm, row_len, natoms) =
-            (self.nb, self.n_occ, self.n_lm, self.row_len, self.natoms);
-        let c = &self.ground.orbitals;
-        let eps = &self.ground.eigenvalues;
+        let (nb, n_lm, row_len, natoms) = (self.nb, self.n_lm, self.row_len, self.natoms);
         let rank = comm.rank();
         let mut iter_span = qp_trace::SpanGuard::begin(rank, qp_trace::Phase::Dfpt, "dfpt.iter");
         if iter_span.is_recording() {
@@ -340,29 +326,17 @@ impl<'a> DirWork<'a> {
         h1.axpy(-1.0, &self.dip).expect("same dims");
         drop(h_span);
 
-        // ---- Replicated Sternheimer update (GEMM form) ----
-        // C¹_i = Σ_a C_a H¹(MO)_ai/(ε_i − ε_a) is the Level-3 product
-        // C_virt · U with U_ai = H¹(MO)_{n_occ+a,i}/(ε_i − ε_{n_occ+a}).
+        // ---- Replicated Sternheimer update + P¹ mixing ----
+        // The serial driver's own step on the allreduced H¹: every rank
+        // holds the same H¹, so every rank computes the same P¹.
         let stern_span = crate::phase_span(qp_trace::Phase::Sternheimer, "sternheimer");
-        let h1_mo = self
-            .c_t
-            .par_matmul(&h1)
-            .and_then(|m| m.par_matmul(c))
-            .expect("nb-square chain");
-        let u = DMatrix::from_fn(nb - n_occ, n_occ, |a, i| {
-            h1_mo[(n_occ + a, i)] / (eps[i] - eps[n_occ + a])
-        });
-        let c1_new = self.c_virt.par_matmul(&u).expect("conforming dims");
-        let mixed = state.mixer.step(&state.c1, &c1_new);
+        let p1_target = sternheimer_target(system, self.ground, &self.c_t, &h1);
         drop(stern_span);
-        let dm_span = crate::phase_span(qp_trace::Phase::Dm, "dm.p1");
-        let p1_new = response_density_matrix(c, &mixed, n_occ);
+        let p1_new = state.mixer.step(&state.p1, &p1_target);
         let residual = p1_new.max_abs_diff(&state.p1);
-        drop(dm_span);
         if iter_span.is_recording() {
             iter_span.arg("residual", residual);
         }
-        state.c1 = mixed;
         state.p1 = p1_new;
         Ok(residual)
     }
@@ -392,7 +366,10 @@ pub fn parallel_dfpt_direction(
     let assignment = assign_batches(system, cfg);
     let work = DirWork::new(system, ground, dir, opts, cfg);
 
+    // Rank threads take the caller's qp-par target (a lease is per thread).
+    let threads = qp_par::active_threads();
     let outputs = run_spmd(cfg.n_ranks, cfg.ranks_per_node, |comm| {
+        let _lease = qp_par::ThreadLease::exactly(threads);
         let rank = comm.rank();
         let my_batches = DirWork::my_batches(&assignment, rank);
         let my_points: usize = my_batches.iter().map(|&b| system.batches[b].len()).sum();
@@ -483,6 +460,52 @@ mod tests {
                 "{mapping:?}: parallel deviates by {}",
                 par.p1.max_abs_diff(&serial.p1)
             );
+        }
+    }
+
+    #[test]
+    fn parallel_matches_serial_with_smearing() {
+        // Fermi–Dirac occupations: the SPMD cycle must use the same
+        // occupation-aware Sternheimer step as the serial driver.
+        let mut gs = GridSettings::light();
+        gs.n_radial = 24;
+        gs.max_angular = 26;
+        let sys = System::build(water(), BasisSettings::Light, &gs, 120, 2);
+        let scf_opts = ScfOptions {
+            smearing: Some(0.1),
+            ..ScfOptions::default()
+        };
+        let ground = scf(&sys, &scf_opts).unwrap();
+        assert!(
+            ground
+                .occupations
+                .iter()
+                .any(|&f| f > 1e-3 && f < 2.0 - 1e-3),
+            "smearing must leave fractional occupations: {:?}",
+            ground.occupations
+        );
+        let opts = DfptOptions::default();
+        let dips: Vec<DMatrix> = (0..3).map(|d| operators::dipole_matrix(&sys, d)).collect();
+        let alpha_col = |p1: &DMatrix| -> Vec<f64> {
+            dips.iter().map(|d| p1.trace_product(d).unwrap()).collect()
+        };
+        let two_ranks = ParallelConfig {
+            n_ranks: 2,
+            ..cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed)
+        };
+        for dir in 0..3 {
+            let serial = alpha_col(&dfpt_direction(&sys, &ground, dir, &opts).unwrap().p1);
+            let par = parallel_dfpt_direction(&sys, &ground, dir, &opts, &two_ranks).unwrap();
+            let par = alpha_col(&par.p1);
+            let diag = serial[dir].abs();
+            for i in 0..3 {
+                assert!(
+                    (par[i] - serial[i]).abs() <= 1e-6 * diag,
+                    "alpha[{i}][{dir}]: ranks {} vs serial {}",
+                    par[i],
+                    serial[i]
+                );
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! checkpoint/restart supervision.
 //!
 //! The recovery argument rests on determinism: the rank-ordered collectives
-//! make every rank hold bit-identical `C¹`/`P¹` at each iteration boundary,
+//! make every rank hold bit-identical `P¹` at each iteration boundary,
 //! so rank 0's checkpoint is a consistent global cut, and an attempt
 //! restarted from it replays the remaining iterations **bit-exactly** —
 //! a run that loses a rank mid-DFPT lands on the same polarizability as the
@@ -139,20 +139,18 @@ pub fn parallel_dfpt_direction_resilient(
         machine: rcfg.machine,
     });
 
+    // Rank threads take the caller's qp-par target (a lease is per thread).
+    let threads = qp_par::active_threads();
     let run = supervisor.run(|sup, _attempt| {
         let out = run_spmd_with(cfg.n_ranks, cfg.ranks_per_node, spmd_opts.clone(), |comm| {
+            let _lease = qp_par::ThreadLease::exactly(threads);
             let rank = comm.rank();
             let my_batches = DirWork::my_batches(&assignment, rank);
             let my_points: usize = my_batches.iter().map(|&b| system.batches[b].len()).sum();
 
             let (mut state, start_iter) = match &*store.lock() {
                 Some(ck) => (
-                    work.state_from(
-                        ck.c1.clone(),
-                        ck.p1.clone(),
-                        ck.diis_in.clone(),
-                        ck.diis_res.clone(),
-                    ),
+                    work.state_from(ck.p1.clone(), ck.diis_in.clone(), ck.diis_res.clone()),
                     ck.iteration,
                 ),
                 None => (work.initial_state(), 0),
@@ -176,7 +174,6 @@ pub fn parallel_dfpt_direction_resilient(
                     let ck = DfptCheckpoint {
                         dir,
                         iteration: iter,
-                        c1: state.c1.clone(),
                         p1: state.p1.clone(),
                         residual,
                         diis_in: diis_in.to_vec(),

@@ -13,7 +13,7 @@ use crate::{CoreError, Result};
 use qp_chem::multipole::{solve_poisson, MultipoleMoments};
 use qp_chem::xc;
 use qp_grid::FarField;
-use qp_linalg::{generalized_symmetric_eigen, DMatrix};
+use qp_linalg::{DMatrix, GeneralizedEigen};
 
 /// SCF options.
 #[derive(Debug, Clone, Copy)]
@@ -160,6 +160,9 @@ pub fn scf_preemptible(
     let residual_gauge = qp_trace::global_metrics().gauge("scf.residual", &[]);
     let energy_gauge = qp_trace::global_metrics().gauge("scf.energy", &[]);
     let s_mat = operators::overlap(system);
+    // S never changes within the cycle: factor it once and reuse the
+    // reduction for the initial guess and every iteration.
+    let eigen = GeneralizedEigen::new(&s_mat)?;
     let t_mat = operators::kinetic(system);
     let v_ext = operators::external_potential(system);
     let v_ext_mat = operators::potential_matrix(system, &v_ext);
@@ -193,7 +196,7 @@ pub fn scf_preemptible(
     let (start_iter, mut p_mat, mut diis_in, mut diis_res) = match resume {
         Some(st) => (st.start_iter, st.p_mat, st.diis_in, st.diis_res),
         None => {
-            let dec0 = generalized_symmetric_eigen(&h_core, &s_mat)?;
+            let dec0 = eigen.solve(&h_core)?;
             let occ0 = occupy(&dec0.eigenvalues);
             let p0 = operators::density_matrix_occ(&dec0.eigenvectors, &occ0);
             (0, p0, Vec::new(), Vec::new())
@@ -254,7 +257,7 @@ pub fn scf_preemptible(
 
         let mut h = h_core.clone();
         h.axpy(1.0, &v_eff_mat)?;
-        let dec = generalized_symmetric_eigen(&h, &s_mat)?;
+        let dec = eigen.solve(&h)?;
         let occ = occupy(&dec.eigenvalues);
         let p_new = operators::density_matrix_occ(&dec.eigenvectors, &occ);
 

@@ -204,12 +204,13 @@ impl System {
 
     /// The atom-cluster tree for hierarchical far-field evaluation, built
     /// once on first use. `None` when the mode resolves to the direct path
-    /// for this structure — the choice depends only on the mode and atom
-    /// count, never on thread count or timing.
+    /// for this structure — under `auto`, whenever the Hartree plan fits
+    /// (see [`FarFieldMode::Auto`]). The choice depends only on the mode,
+    /// system size and environment, never on thread count or timing.
     pub fn farfield_tree(&self) -> Option<&Arc<ClusterTree>> {
         self.cluster
             .get_or_init(|| {
-                self.farfield.enabled(self.structure.len()).then(|| {
+                self.farfield.enabled(self.hartree_plan_fits()).then(|| {
                     let centers: Vec<[f64; 3]> =
                         self.structure.atoms.iter().map(|a| a.position).collect();
                     Arc::new(ClusterTree::build(&centers, CLUSTER_LEAF_MAX))
@@ -243,19 +244,17 @@ impl System {
     pub fn hartree_plan(&self) -> Option<Arc<HartreePlan>> {
         self.hartree_plan
             .get_or_init(|| {
-                let est =
-                    HartreePlan::estimate_bytes(self.grid.len(), self.structure.len(), self.lmax);
-                if est <= plan_cap_bytes() && plan_cap_bytes() > 0 {
-                    Some(Arc::new(HartreePlan::build(
-                        &self.structure,
-                        &self.grid,
-                        self.lmax,
-                    )))
-                } else {
-                    None
-                }
+                self.hartree_plan_fits()
+                    .then(|| Arc::new(HartreePlan::build(&self.structure, &self.grid, self.lmax)))
             })
             .clone()
+    }
+
+    /// Whether [`System::hartree_plan`] is (or will be) `Some`, from the
+    /// size estimate alone — nothing is built.
+    pub(crate) fn hartree_plan_fits(&self) -> bool {
+        let est = HartreePlan::estimate_bytes(self.grid.len(), self.structure.len(), self.lmax);
+        plan_cap_bytes() > 0 && est <= plan_cap_bytes()
     }
 
     fn tabulate_batch(&self, batch: &Batch) -> BatchBasisTable {
@@ -399,6 +398,32 @@ mod tests {
         gs.n_radial = 24;
         gs.max_angular = 26;
         System::build(water(), BasisSettings::Light, &gs, 150, 2)
+    }
+
+    #[test]
+    fn auto_farfield_resolves_on_the_hartree_plan() {
+        let mut gs = GridSettings::light();
+        gs.n_radial = 24;
+        gs.max_angular = 26;
+        for (mode, tree) in [
+            (FarFieldMode::Auto, false),
+            (FarFieldMode::Direct, false),
+            (FarFieldMode::Tree, true),
+        ] {
+            let s = System::build_with_modes(
+                water(),
+                BasisSettings::Light,
+                &gs,
+                150,
+                2,
+                ScreeningMode::Auto,
+                mode,
+            );
+            assert!(s.hartree_plan_fits());
+            assert_eq!(s.hartree_plan().is_some(), s.hartree_plan_fits());
+            assert_eq!(s.farfield_tree().is_some(), tree, "{mode}");
+            assert_eq!(mode.enabled(s.hartree_plan().is_some()), tree, "{mode}");
+        }
     }
 
     #[test]

@@ -74,7 +74,8 @@ options:
   --farfield <direct|tree|auto>  Hartree far-field evaluation: exact
                            per-atom sum or hierarchical cluster-tree
                            multipoles within QP_FARFIELD_TOL (default
-                           auto: tree from 96 atoms)
+                           auto: tree once the Hartree plan exceeds
+                           QP_HARTREE_PLAN_MAX_MB)
   --profile <base>         parallel-efficiency profile: run a 1-thread
                            reference plus an instrumented parallel leg,
                            print the wall-clock decomposition and write

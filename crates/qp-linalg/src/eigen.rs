@@ -4,7 +4,9 @@
 //! generalized symmetric eigenproblem `H C = ε S C`, solved in the original
 //! code by ScaLAPACK. Here we implement the classic dense path:
 //! Householder tridiagonalization followed by implicit-shift QL iteration,
-//! with the generalized problem reduced to standard form via Cholesky.
+//! with the generalized problem reduced to standard form by the explicit
+//! inverse Cholesky factor of the metric, computed once per metric
+//! ([`GeneralizedEigen`]).
 
 use crate::cholesky::Cholesky;
 use crate::dense::DMatrix;
@@ -32,25 +34,120 @@ pub struct EigenDecomposition {
     pub eigenvectors: DMatrix,
 }
 
+/// Defines an element-wise row kernel once and compiles it twice: for the
+/// baseline target and, called on x86-64 hosts that have it, for AVX2.
+/// The bodies are element-wise `mul`/`add`/`sub` only (no reduction to
+/// reorder, no FMA enabled), so both builds produce identical bits; AVX2
+/// only widens the vectors. Same discipline as the GEMM microkernel.
+macro_rules! row_kernel {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $body:block) => {
+        $(#[$doc])*
+        fn $name($($arg: $ty),*) {
+            #[inline(always)]
+            fn generic($($arg: $ty),*) $body
+            #[cfg(target_arch = "x86_64")]
+            {
+                /// # Safety
+                ///
+                /// The host must support AVX2.
+                #[target_feature(enable = "avx2")]
+                unsafe fn avx2($($arg: $ty),*) {
+                    generic($($arg),*)
+                }
+                if std::is_x86_feature_detected!("avx2") {
+                    // SAFETY: the host supports AVX2.
+                    return unsafe { avx2($($arg),*) };
+                }
+            }
+            generic($($arg),*)
+        }
+    };
+}
+
+row_kernel! {
+    /// `g += a·x`.
+    fn axpy(g: &mut [f64], a: f64, x: &[f64]) {
+        for (gj, &xj) in g.iter_mut().zip(x) {
+            *gj += a * xj;
+        }
+    }
+}
+
+row_kernel! {
+    /// `x -= a·y`.
+    fn sub_scaled(x: &mut [f64], a: f64, y: &[f64]) {
+        for (xj, &yj) in x.iter_mut().zip(y) {
+            *xj -= yj * a;
+        }
+    }
+}
+
+row_kernel! {
+    /// One row of the symmetric rank-2 update: `x -= f·e + g·v`.
+    fn rank2_row(x: &mut [f64], f: f64, e: &[f64], g: f64, v: &[f64]) {
+        for ((xj, &ej), &vj) in x.iter_mut().zip(e).zip(v) {
+            *xj -= f * ej + g * vj;
+        }
+    }
+}
+
+row_kernel! {
+    /// Givens rotation of two rows: `(a, b) ← (c·a − s·b, s·a + c·b)`.
+    fn rotate_rows(a: &mut [f64], b: &mut [f64], s: f64, c: f64) {
+        for (aj, bj) in a.iter_mut().zip(b.iter_mut()) {
+            let f = *bj;
+            *bj = s * *aj + c * f;
+            *aj = c * *aj - s * f;
+        }
+    }
+}
+
+/// `g_j = Σ_k coeffs[k]·v[k][j]` for `j < coeffs.len()`: a combination of
+/// the leading rows of `v`, computed as row axpys so every inner loop
+/// streams a row. Each `g_j` accumulates from `0.0` in ascending `k` (the
+/// order of the equivalent dot product `Σ_k v[k][j]·coeffs[k]`), and the
+/// column chunks are disjoint, so the result is bit-identical at any
+/// thread count.
+fn row_combination(v: &DMatrix, coeffs: &[f64]) -> Vec<f64> {
+    let m = coeffs.len();
+    let mut g = vec![0.0f64; m];
+    let g_ptr = RowsPtr(g.as_mut_ptr());
+    qp_par::run_region_hinted(m, m as u64, &|start, end| {
+        // SAFETY: the chunk [start, end) of `g` is written by exactly this
+        // executor.
+        let g = unsafe { std::slice::from_raw_parts_mut(g_ptr.get().add(start), end - start) };
+        for (k, &ck) in coeffs.iter().enumerate() {
+            axpy(g, ck, &v.row(k)[start..end]);
+        }
+    });
+    g
+}
+
 /// Householder reduction of a symmetric matrix to tridiagonal form.
 ///
 /// Returns `(d, e, q)` where `d` is the diagonal, `e` the sub-diagonal
 /// (`e[0]` unused) and `q` the accumulated orthogonal transform such that
 /// `qᵀ a q = tridiag(d, e)`.
 ///
-/// This is numerical-recipes `tred2` with its two O(n²)-per-step inner
-/// nests restructured for parallel execution: read-only reductions become
-/// parallel maps, row updates become disjoint parallel row sweeps. Every
-/// restructured expression evaluates the identical floating-point sequence
-/// per element as the classic serial loop (the maps preserve index order
-/// and each row is updated by one thread), so the decomposition is
-/// bit-identical between 1 and N threads.
+/// This is numerical-recipes `tred2` restructured so every inner loop
+/// streams rows of the row-major matrix:
 ///
-/// Each of the four per-column fan-outs carries a flop-count cost hint:
-/// at typical basis sizes (n ≈ 150) a single Householder step is a few
-/// tens of µs of O(n²) work — below the scheduling break-even — so the
-/// hints collapse the former ~4·n-region-per-factorization storm into
-/// inline execution, and only genuinely large matrices fan out.
+/// * the active block is kept *fully* symmetric (the rank-2 update writes
+///   whole rows, and `x·y + z·w` equals `z·w + x·y` bit for bit, so
+///   mirrored entries stay identical), so the `g = A·u` reduction can
+///   read rows instead of strided columns;
+/// * both that reduction and the `Q` accumulation `g_j = Σ_k v_ik v_kj`
+///   run as row axpys ([`row_combination`]), each `g_j` still summed in
+///   ascending `k` — the classic loop's sequence, so the output is
+///   bit-identical to the textbook `tred2`.
+///
+/// Row combinations fan out over column chunks and row updates are
+/// disjoint row sweeps; every element sees the same floating-point
+/// sequence at any thread count, so the decomposition is bit-identical
+/// between 1 and N threads. Each fan-out carries a flop-count cost hint:
+/// at typical basis sizes (n ≈ 150) one Householder step is a few µs of
+/// O(n²) work, below the scheduling break-even, so only genuinely large
+/// matrices fan out.
 fn tridiagonalize(a: &DMatrix) -> (Vec<f64>, Vec<f64>, DMatrix) {
     let n = a.rows();
     let mut v = a.clone();
@@ -61,65 +158,44 @@ fn tridiagonalize(a: &DMatrix) -> (Vec<f64>, Vec<f64>, DMatrix) {
         let l = i - 1;
         let mut h = 0.0;
         if l > 0 {
-            let scale: f64 = (0..=l).map(|k| v[(i, k)].abs()).sum();
+            let scale: f64 = v.row(i)[..=l].iter().map(|x| x.abs()).sum();
             if scale == 0.0 {
                 e[i] = v[(i, l)];
             } else {
-                for k in 0..=l {
-                    v[(i, k)] /= scale;
-                    h += v[(i, k)] * v[(i, k)];
+                for x in &mut v.row_mut(i)[..=l] {
+                    *x /= scale;
+                    h += *x * *x;
                 }
                 let f = v[(i, l)];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
                 v[(i, l)] = f - g;
-                // g_j = Σ_{k≤j} v[j][k]·v[i][k] + Σ_{j<k≤l} v[k][j]·v[i][k]
-                // reads only rows ≤ l and row i — independent across j, so
-                // it fans out as a read-only parallel map (the subsequent
-                // column-i writes are hoisted out, they never feed the g's).
-                let vrow_i = v.row(i).to_vec();
-                let mut g_vals = vec![0.0f64; l + 1];
-                // ~(l+1) mul-adds per item ≈ that many ns: hint lets tiny
-                // columns run inline instead of paying region setup.
-                qp_par::fill_slice_hinted(&mut g_vals, (l + 1) as u64, |j| {
-                    let mut g = 0.0;
-                    let vrow_j = v.row(j);
-                    for k in 0..=j {
-                        g += vrow_j[k] * vrow_i[k];
-                    }
-                    for k in (j + 1)..=l {
-                        g += v[(k, j)] * vrow_i[k];
-                    }
-                    g
-                });
+                // g_j = Σ_{k≤l} v[j][k]·v[i][k]; the active block is
+                // symmetric, so this is the row combination Σ_k u_k·row_k.
+                let vi: Vec<f64> = v.row(i)[..=l].to_vec();
+                let g_vals = row_combination(&v, &vi);
                 let mut tau = 0.0;
                 for (j, &g) in g_vals.iter().enumerate() {
-                    v[(j, i)] = v[(i, j)] / h;
+                    v[(j, i)] = vi[j] / h;
                     e[j] = g / h;
-                    tau += e[j] * v[(i, j)];
+                    tau += e[j] * vi[j];
                 }
                 let hh = tau / (h + h);
-                // Finalize e first (serial, j-ascending as before), then the
-                // symmetric rank-2 update touches disjoint rows j ≤ l — one
-                // parallel sweep with row i snapshotted to avoid aliasing.
                 for j in 0..=l {
-                    e[j] -= hh * v[(i, j)];
+                    e[j] -= hh * vi[j];
                 }
-                let vi: Vec<f64> = (0..=l).map(|j| v[(i, j)]).collect();
+                // Symmetric rank-2 update of the whole active block, one
+                // disjoint row per index.
                 let cols = v.cols();
                 let base = RowsPtr(v.as_mut_slice().as_mut_ptr());
-                qp_par::for_each_index_hinted(l + 1, l.div_ceil(2).max(1) as u64, |j| {
+                qp_par::for_each_index_hinted(l + 1, (l + 1) as u64, |j| {
                     // SAFETY: row `j` of the leading (l+1)×cols block is
                     // written by exactly this index; `e` and `vi` are only
                     // read.
                     let row =
                         unsafe { std::slice::from_raw_parts_mut(base.get().add(j * cols), cols) };
-                    let f = vi[j];
-                    let g = e[j];
-                    for k in 0..=j {
-                        row[k] -= f * e[k] + g * vi[k];
-                    }
+                    rank2_row(&mut row[..=l], vi[j], &e[..=l], e[j], &vi);
                 });
             }
         } else {
@@ -130,30 +206,20 @@ fn tridiagonalize(a: &DMatrix) -> (Vec<f64>, Vec<f64>, DMatrix) {
 
     d[0] = 0.0;
     e[0] = 0.0;
+    let cols = v.cols();
     for i in 0..n {
         if d[i] != 0.0 {
-            // Accumulate Q: columns j < i update independently. Phase A
-            // computes every g_j from pristine data (the serial loop also
-            // read column j strictly before writing it); phase B applies the
-            // rank-1 update row-wise so each row is owned by one thread.
-            let mut g_vals = vec![0.0f64; i];
-            qp_par::fill_slice_hinted(&mut g_vals, i as u64, |j| {
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += v[(i, k)] * v[(k, j)];
-                }
-                g
-            });
-            let cols = v.cols();
+            // Accumulate Q. Phase A: g = Σ_{k<i} v[i][k]·row_k[..i] from
+            // pristine data. Phase B: the rank-1 update row-wise, each row
+            // owned by one thread.
+            let g_vals = row_combination(&v, &v.row(i)[..i]);
             let base = RowsPtr(v.as_mut_slice().as_mut_ptr());
             qp_par::for_each_index_hinted(i, i as u64, |r| {
                 // SAFETY: row `r` of the leading i×cols block is written by
                 // exactly this index; `g_vals` is only read.
                 let row = unsafe { std::slice::from_raw_parts_mut(base.get().add(r * cols), cols) };
                 let vki = row[i];
-                for (j, &g) in g_vals.iter().enumerate() {
-                    row[j] -= g * vki;
-                }
+                sub_scaled(&mut row[..i], vki, &g_vals);
             });
         }
         d[i] = v[(i, i)];
@@ -166,9 +232,12 @@ fn tridiagonalize(a: &DMatrix) -> (Vec<f64>, Vec<f64>, DMatrix) {
     (d, e, v)
 }
 
-/// Implicit-shift QL iteration on a tridiagonal matrix, accumulating the
-/// rotations into `z` (numerical-recipes style `tqli`).
-fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()> {
+/// Implicit-shift QL iteration on a tridiagonal matrix (numerical-recipes
+/// style `tqli`), accumulating the rotations into `zt`, the *transpose*
+/// of the eigenvector matrix: each rotation mixes two contiguous rows
+/// instead of two strided columns. Row `k` of `zt` ends as the
+/// eigenvector of `d[k]`.
+fn tql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut DMatrix) -> Result<()> {
     let n = d.len();
     if n == 0 {
         return Ok(());
@@ -208,7 +277,7 @@ fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()> {
             let mut p = 0.0;
             let mut i = m - 1;
             loop {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -224,12 +293,9 @@ fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()> {
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
-                }
+                // Accumulate the rotation into rows i and i+1 of Zᵀ.
+                let (lo, hi) = zt.as_mut_slice().split_at_mut((i + 1) * n);
+                rotate_rows(&mut lo[i * n..], &mut hi[..n], s, c);
                 if i == l {
                     break;
                 }
@@ -246,11 +312,29 @@ fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut DMatrix) -> Result<()> {
     Ok(())
 }
 
+/// Eigenvalues (ascending) and the matching eigenvectors as the *rows* of
+/// the returned matrix, of a matrix already exactly symmetric.
+fn eigen_rows(sym: &DMatrix) -> Result<(Vec<f64>, DMatrix)> {
+    let (mut d, mut e, z) = tridiagonalize(sym);
+    let mut zt = z.transpose();
+    tql_implicit(&mut d, &mut e, &mut zt)?;
+
+    // Sort ascending, permuting eigenvector rows accordingly.
+    let n = d.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).expect("finite eigenvalues"));
+    let eigenvalues: Vec<f64> = order.iter().map(|&k| d[k]).collect();
+    let mut rows = DMatrix::zeros(n, n);
+    for (dst, &k) in order.iter().enumerate() {
+        rows.row_mut(dst).copy_from_slice(zt.row(k));
+    }
+    Ok((eigenvalues, rows))
+}
+
 /// Full eigendecomposition of a symmetric matrix.
 ///
-/// The input is symmetrized defensively (`(A + Aᵀ)/2` is implied by reading
-/// only the lower triangle) — grid-integrated operators are symmetric only to
-/// integration tolerance.
+/// The input is symmetrized defensively (`(A + Aᵀ)/2`) — grid-integrated
+/// operators are symmetric only to integration tolerance.
 pub fn symmetric_eigen(a: &DMatrix) -> Result<EigenDecomposition> {
     if !a.is_square() {
         return Err(LinalgError::DimensionMismatch {
@@ -260,48 +344,68 @@ pub fn symmetric_eigen(a: &DMatrix) -> Result<EigenDecomposition> {
     }
     let mut sym = a.clone();
     sym.symmetrize();
-    let (mut d, mut e, mut z) = tridiagonalize(&sym);
-    tql_implicit(&mut d, &mut e, &mut z)?;
-
-    // Sort ascending, permuting eigenvector columns accordingly.
-    let n = d.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).expect("finite eigenvalues"));
-    let eigenvalues: Vec<f64> = order.iter().map(|&k| d[k]).collect();
-    let eigenvectors = DMatrix::from_fn(n, n, |i, j| z[(i, order[j])]);
+    let (eigenvalues, rows) = eigen_rows(&sym)?;
     Ok(EigenDecomposition {
         eigenvalues,
-        eigenvectors,
+        eigenvectors: rows.transpose(),
     })
 }
 
-/// Generalized symmetric eigenproblem `A x = λ B x` with `B` positive
-/// definite (for us: `H C = ε S C`, Eq. 5).
+/// Generalized symmetric eigensolver `A x = λ B x` for one positive-
+/// definite metric `B` (for us: `H C = ε S C`, Eq. 5), prepared once and
+/// reused for every `A`.
 ///
-/// Reduction: `B = L Lᵀ`, solve `(L⁻¹ A L⁻ᵀ) y = λ y`, back-transform
-/// `x = L⁻ᵀ y`.  Returned eigenvectors are `B`-orthonormal
-/// (`xᵢᵀ B xⱼ = δᵢⱼ`), exactly the normalization the density matrix (Eq. 6)
-/// assumes.
-pub fn generalized_symmetric_eigen(a: &DMatrix, b: &DMatrix) -> Result<EigenDecomposition> {
-    if a.rows() != b.rows() || a.cols() != b.cols() || !a.is_square() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "generalized_symmetric_eigen",
-            dims: vec![a.rows(), a.cols(), b.rows(), b.cols()],
-        });
+/// [`GeneralizedEigen::new`] factors `B = L Lᵀ` and keeps the explicit
+/// inverse factor `L⁻¹` (one extra `n × n` matrix). [`GeneralizedEigen::solve`]
+/// then reduces with two blocked GEMMs, `C = L⁻¹ (L⁻¹ A)ᵀ = L⁻¹ A L⁻ᵀ`
+/// (legal because `A` is symmetric), diagonalizes `C y = λ y`, and
+/// back-transforms with a third, `Xᵀ = Yᵀ L⁻¹`. The SCF overlap never
+/// changes, so the SCF loop factors it once per cycle. Returned
+/// eigenvectors are `B`-orthonormal (`xᵢᵀ B xⱼ = δᵢⱼ`), exactly the
+/// normalization the density matrix (Eq. 6) assumes.
+///
+/// Every step is bit-identical at any thread count: the GEMMs own each
+/// output element on one thread in a fixed k-order, and the eigensolver's
+/// row sweeps each own one row.
+#[derive(Debug, Clone)]
+pub struct GeneralizedEigen {
+    linv: DMatrix,
+}
+
+impl GeneralizedEigen {
+    /// Factor the metric `b` (symmetric positive definite).
+    pub fn new(b: &DMatrix) -> Result<Self> {
+        Ok(GeneralizedEigen {
+            linv: Cholesky::new(b)?.l_inverse(),
+        })
     }
-    let chol = Cholesky::new(b)?;
-    // C = L^-1 A L^-T  (apply L^-1 on the left, then L^-1 on the left of the
-    // transpose — legal because A is symmetric).
-    let linv_a = chol.solve_lower_matrix(a);
-    let linv_a_t = linv_a.transpose();
-    let mut c = chol.solve_lower_matrix(&linv_a_t);
-    c.symmetrize();
-    let std = symmetric_eigen(&c)?;
-    let x = chol.solve_lower_transpose_matrix(&std.eigenvectors);
-    Ok(EigenDecomposition {
-        eigenvalues: std.eigenvalues,
-        eigenvectors: x,
-    })
+
+    /// Eigenpairs of `a x = λ B x`, eigenvalues ascending.
+    pub fn solve(&self, a: &DMatrix) -> Result<EigenDecomposition> {
+        let n = self.linv.rows();
+        if a.rows() != n || a.cols() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "generalized_symmetric_eigen",
+                dims: vec![a.rows(), a.cols(), n, n],
+            });
+        }
+        let linv_a = self.linv.par_matmul(a)?;
+        let mut c = self.linv.par_matmul(&linv_a.transpose())?;
+        c.symmetrize();
+        let (eigenvalues, yt) = eigen_rows(&c)?;
+        let xt = yt.par_matmul(&self.linv)?;
+        Ok(EigenDecomposition {
+            eigenvalues,
+            eigenvectors: xt.transpose(),
+        })
+    }
+}
+
+/// One-shot generalized symmetric eigenproblem `A x = λ B x`:
+/// `GeneralizedEigen::new(b)?.solve(a)`. Callers that solve repeatedly
+/// against the same `B` should keep the [`GeneralizedEigen`].
+pub fn generalized_symmetric_eigen(a: &DMatrix, b: &DMatrix) -> Result<EigenDecomposition> {
+    GeneralizedEigen::new(b)?.solve(a)
 }
 
 #[cfg(test)]
@@ -452,6 +556,148 @@ mod tests {
             parallel.eigenvectors.as_slice(),
             "tridiagonalization must be bit-identical across thread counts"
         );
+    }
+
+    fn random_symmetric(n: usize, seed: u64) -> DMatrix {
+        let mut seed = seed;
+        let mut rand = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let mut a = DMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = rand();
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+            }
+        }
+        a
+    }
+
+    /// SPD metric `Q diag(σ) Qᵀ` with `σ` log-spaced over
+    /// `[10^-decades, 1]` and `Q` the eigenvectors of a random symmetric
+    /// matrix: condition number `10^decades`.
+    fn conditioned_spd(n: usize, decades: f64, seed: u64) -> DMatrix {
+        let q = symmetric_eigen(&random_symmetric(n, seed))
+            .unwrap()
+            .eigenvectors;
+        let qs = DMatrix::from_fn(n, n, |i, k| {
+            q[(i, k)] * 10f64.powf(-decades * k as f64 / (n - 1) as f64)
+        });
+        let mut b = qs.matmul(&q.transpose()).unwrap();
+        b.symmetrize();
+        b
+    }
+
+    #[test]
+    fn row_kernels_match_plain_loops_bit_for_bit() {
+        // On AVX2 hosts the kernels dispatch to their AVX2 build; this
+        // test's own loops are baseline code. Ragged length exercises the
+        // vector tails.
+        let n = 203;
+        let m = random_symmetric(n, 77);
+        let (x0, y, z) = (m.row(0).to_vec(), m.row(1).to_vec(), m.row(2).to_vec());
+        let (a, b) = (0.37, -1.9);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut got = x0.clone();
+        axpy(&mut got, a, &y);
+        let want: Vec<f64> = x0.iter().zip(&y).map(|(x, y)| x + a * y).collect();
+        assert_eq!(bits(&got), bits(&want), "axpy");
+
+        let mut got = x0.clone();
+        sub_scaled(&mut got, a, &y);
+        let want: Vec<f64> = x0.iter().zip(&y).map(|(x, y)| x - y * a).collect();
+        assert_eq!(bits(&got), bits(&want), "sub_scaled");
+
+        let mut got = x0.clone();
+        rank2_row(&mut got, a, &y, b, &z);
+        let want: Vec<f64> = (0..n).map(|j| x0[j] - (a * y[j] + b * z[j])).collect();
+        assert_eq!(bits(&got), bits(&want), "rank2_row");
+
+        let (mut p, mut q) = (x0.clone(), y.clone());
+        rotate_rows(&mut p, &mut q, a, b);
+        let want_p: Vec<f64> = (0..n).map(|j| b * x0[j] - a * y[j]).collect();
+        let want_q: Vec<f64> = (0..n).map(|j| a * x0[j] + b * y[j]).collect();
+        assert_eq!(bits(&p), bits(&want_p), "rotate_rows a");
+        assert_eq!(bits(&q), bits(&want_q), "rotate_rows b");
+    }
+
+    #[test]
+    fn prepared_solve_matches_one_shot_bit_for_bit() {
+        let n = 60;
+        let b = conditioned_spd(n, 3.0, 11);
+        let prepared = GeneralizedEigen::new(&b).unwrap();
+        for seed in [1u64, 2] {
+            let a = random_symmetric(n, seed);
+            let once = generalized_symmetric_eigen(&a, &b).unwrap();
+            let again = prepared.solve(&a).unwrap();
+            assert_eq!(once.eigenvalues, again.eigenvalues);
+            assert_eq!(once.eigenvectors.as_slice(), again.eigenvectors.as_slice());
+        }
+    }
+
+    #[test]
+    fn generalized_bit_identical_across_thread_counts_at_n226() {
+        // n = 226 spans two GEMM row blocks, so the reduction and
+        // back-transform fan out.
+        let n = 226;
+        let a = random_symmetric(n, 5);
+        let b = conditioned_spd(n, 4.0, 6);
+        let run = |threads: usize| {
+            let _g = qp_par::ThreadLease::exactly(threads);
+            generalized_symmetric_eigen(&a, &b).unwrap()
+        };
+        let serial = run(1);
+        for threads in [2, 8] {
+            let par = run(threads);
+            assert_eq!(serial.eigenvalues, par.eigenvalues, "{threads} threads");
+            assert_eq!(
+                serial.eigenvectors.as_slice(),
+                par.eigenvectors.as_slice(),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn ill_conditioned_metric_residual_and_orthonormality_n226() {
+        let n = 226;
+        let a = random_symmetric(n, 21);
+        let b = conditioned_spd(n, 6.0, 22);
+        let dec = generalized_symmetric_eigen(&a, &b).unwrap();
+        let x = &dec.eigenvectors;
+        let ax = a.matmul(x).unwrap();
+        let bx = b.matmul(x).unwrap();
+        // |λ| reaches ~1e6 here, so each pair's residual is measured on
+        // its own scale: ‖Ax − λBx‖∞ / (1 + |λ|).
+        let mut worst_res = 0.0f64;
+        for k in 0..n {
+            let lam = dec.eigenvalues[k];
+            for i in 0..n {
+                let r = (ax[(i, k)] - lam * bx[(i, k)]).abs() / (1.0 + lam.abs());
+                worst_res = worst_res.max(r);
+            }
+        }
+        assert!(worst_res < 1e-9, "scaled residual {worst_res:e}");
+        let xtbx = x.transpose().matmul(&bx).unwrap();
+        let ortho = xtbx.max_abs_diff(&DMatrix::identity(n));
+        assert!(ortho < 1e-9, "‖XᵀBX − I‖∞ = {ortho:e}");
+        // Oracle: the reduction by column-wise triangular solves.
+        let chol = Cholesky::new(&b).unwrap();
+        let solve_cols = |m: &DMatrix| {
+            let cols: Vec<Vec<f64>> = (0..n).map(|j| chol.solve_lower(&m.col(j))).collect();
+            DMatrix::from_fn(n, n, |i, j| cols[j][i])
+        };
+        let mut c = solve_cols(&solve_cols(&a).transpose());
+        c.symmetrize();
+        let oracle = symmetric_eigen(&c).unwrap();
+        for (p, q) in oracle.eigenvalues.iter().zip(&dec.eigenvalues) {
+            assert!((p - q).abs() < 1e-9 * (1.0 + q.abs()), "λ {p} vs {q}");
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   used to quantify the memory-explosion obstacle of §3.1.1.
 //! * [`eigen`] — a dense symmetric eigensolver (Householder tridiagonal
 //!   reduction + implicit QL) and the generalized solver
-//!   `H C = ε S C` via Cholesky reduction, replacing ScaLAPACK.
-//! * [`cholesky`] — Cholesky factorization and triangular solves.
+//!   `H C = ε S C` ([`GeneralizedEigen`]: the metric is factored once,
+//!   the reduction and back-transform are GEMMs), replacing ScaLAPACK.
+//! * [`cholesky`] — Cholesky factorization, inverse factor and triangular
+//!   solves.
 //!
 //! Everything is `f64`; quantum-chemistry response properties are far too
 //! ill-conditioned for `f32`.
@@ -34,7 +36,9 @@ pub use block_sparse::{BlockPartition, BlockSparseMatrix};
 pub use cholesky::Cholesky;
 pub use csr::CsrMatrix;
 pub use dense::DMatrix;
-pub use eigen::{generalized_symmetric_eigen, symmetric_eigen, EigenDecomposition};
+pub use eigen::{
+    generalized_symmetric_eigen, symmetric_eigen, EigenDecomposition, GeneralizedEigen,
+};
 
 /// Errors produced by the linear-algebra layer.
 #[derive(Debug, Clone, PartialEq)]

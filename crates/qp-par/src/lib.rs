@@ -26,8 +26,10 @@
 //!    by some thread, and threads only wait when they hold no chunk.
 //!
 //! Sizing: `QP_THREADS` if set, else [`std::thread::available_parallelism`].
-//! Tests can override at runtime with [`set_active_threads`] (workers above
-//! the limit park; missing workers spawn on demand).
+//! A [`ThreadLease`] overrides the target for the calling thread only
+//! (workers above a region's target park; missing workers spawn on demand),
+//! so concurrent leases never interfere. [`set_active_threads`] changes the
+//! process-wide default.
 
 pub mod pool;
 pub mod telemetry;

@@ -20,8 +20,9 @@
 
 use crate::telemetry::{self, LaneStats, RegionRecord};
 use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -100,6 +101,9 @@ struct RunFields {
     n_chunks: usize,
     /// Submitter's qp-trace rank, propagated to workers.
     rank: usize,
+    /// Submitter's parallelism target; propagated to workers as their
+    /// lease while they help, so nested regions size the same way.
+    threads: usize,
     /// Submitter's phase label at submission, propagated to chunk
     /// executors while telemetry records — so work done (and roofline
     /// counters emitted) inside worker chunks lands in the right phase.
@@ -115,6 +119,9 @@ struct Region {
     /// Mirror of `run.n_chunks` for the lock-free `drained` check in the
     /// worker loop.
     queued: AtomicUsize,
+    /// Mirror of `run.threads`: worker `i` helps only while `i + 1 <
+    /// threads` (the submitter is the remaining participant).
+    threads: AtomicUsize,
     /// Next chunk to claim (fetch_add ticket).
     next: AtomicUsize,
     /// Chunks finished (executed or skipped after cancellation).
@@ -129,10 +136,12 @@ struct Region {
 impl Region {
     fn fresh(fields: RunFields) -> Region {
         let n_chunks = fields.n_chunks;
+        let threads = fields.threads;
         FRESH_REGIONS.fetch_add(1, Ordering::Relaxed);
         Region {
             run: Mutex::new(fields),
             queued: AtomicUsize::new(n_chunks),
+            threads: AtomicUsize::new(threads),
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
@@ -220,6 +229,12 @@ thread_local! {
     /// so a nested submission (from inside one of our own chunks) falls
     /// back to a fresh allocation instead of aliasing the live shell.
     static SHELL: RefCell<Option<Arc<Region>>> = const { RefCell::new(None) };
+
+    /// The calling thread's [`ThreadLease`] target, shadowing the
+    /// process-wide limit for the regions this thread submits. Scoped to
+    /// the thread so concurrent leases (test harness threads, qp-serve
+    /// workers) cannot clobber or stale-restore each other.
+    static LEASED: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// The process-global pool.
@@ -227,9 +242,11 @@ struct Pool {
     queue: Mutex<VecDeque<Arc<Region>>>,
     /// Signals queued work and limit changes to parked workers.
     work_cv: Condvar,
-    /// Desired total parallelism (participating caller + active workers).
+    /// Default parallelism (participating caller + workers) for threads
+    /// that hold no [`ThreadLease`].
     limit: AtomicUsize,
-    /// Workers spawned so far (monotonic; workers above `limit - 1` park).
+    /// Workers spawned so far (monotonic; a worker helps only regions
+    /// whose submitter's target exceeds its index + 1, else it parks).
     spawned: Mutex<usize>,
 }
 
@@ -269,14 +286,19 @@ pub fn inline_cutoff_ns() -> u64 {
     })
 }
 
-/// Current parallelism target (1 = everything runs inline on the caller).
+/// The calling thread's parallelism target (1 = everything runs inline on
+/// the caller): its [`ThreadLease`] if it holds one, else the process-wide
+/// limit.
 pub fn active_threads() -> usize {
-    pool().limit.load(Ordering::Relaxed).max(1)
+    LEASED
+        .with(Cell::get)
+        .unwrap_or_else(|| pool().limit.load(Ordering::Relaxed))
+        .max(1)
 }
 
-/// Set the parallelism target, spawning workers if needed. Returns the
-/// previous value. Intended for tests and benches (`ThreadLease` is the
-/// RAII form); production sizing comes from `QP_THREADS`.
+/// Set the process-wide parallelism default, spawning workers if needed.
+/// Returns the previous value. Threads holding a [`ThreadLease`] are not
+/// affected; production sizing comes from `QP_THREADS`.
 pub fn set_active_threads(n: usize) -> usize {
     let n = n.max(1);
     let p = pool();
@@ -284,37 +306,40 @@ pub fn set_active_threads(n: usize) -> usize {
     if n > 1 {
         ensure_workers(p, n - 1);
     }
-    // Wake parked workers so newly-activated indices re-check the limit.
-    p.work_cv.notify_all();
     prev
 }
 
-/// RAII thread-count override for tests: restores the previous limit on
-/// drop.
+/// RAII parallelism override scoped to the calling thread: regions it
+/// submits (and regions nested inside their chunks) use the leased target;
+/// other threads keep theirs. Restores the thread's previous target on
+/// drop. Not `Send`: a lease must end on the thread that took it.
 pub struct ThreadLease {
-    prev: usize,
+    prev: Option<usize>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl ThreadLease {
-    /// Set the limit to exactly `n` for the lease's lifetime.
+    /// Set this thread's target to exactly `n` for the lease's lifetime.
     pub fn exactly(n: usize) -> Self {
+        let n = n.max(1);
+        if n > 1 {
+            ensure_workers(pool(), n - 1);
+        }
         ThreadLease {
-            prev: set_active_threads(n),
+            prev: LEASED.with(|l| l.replace(Some(n))),
+            _not_send: PhantomData,
         }
     }
 
-    /// Raise the limit to at least `n` (never lowers it).
+    /// Raise this thread's target to at least `n` (never lowers it).
     pub fn at_least(n: usize) -> Self {
-        let current = active_threads();
-        ThreadLease {
-            prev: set_active_threads(current.max(n)),
-        }
+        Self::exactly(active_threads().max(n))
     }
 }
 
 impl Drop for ThreadLease {
     fn drop(&mut self) {
-        set_active_threads(self.prev);
+        LEASED.with(|l| l.set(self.prev));
     }
 }
 
@@ -333,26 +358,32 @@ fn ensure_workers(p: &'static Pool, wanted: usize) {
 fn worker_loop(index: usize) {
     let p = pool();
     loop {
-        // Take (a handle to) the front unfinished region, parking while the
-        // queue is empty or this worker is above the active limit.
+        // Take (a handle to) the first unfinished region whose submitter's
+        // target admits this worker, parking while there is none.
         let region: Arc<Region> = {
             let mut q = p.queue.lock();
             loop {
                 while q.front().is_some_and(|r| r.drained()) {
                     q.pop_front();
                 }
-                let active = index + 1 < p.limit.load(Ordering::Relaxed);
-                if active {
-                    if let Some(r) = q.front() {
-                        break r.clone();
-                    }
+                let admits = |r: &&Arc<Region>| {
+                    !r.drained() && index + 1 < r.threads.load(Ordering::Relaxed)
+                };
+                if let Some(r) = q.iter().find(admits) {
+                    break r.clone();
                 }
                 p.work_cv.wait(&mut q);
             }
         };
-        // Attribute everything executed here to the submitter's rank.
-        let rank = region.run.lock().rank;
+        // Attribute everything executed here to the submitter's rank, and
+        // size nested regions by the submitter's target.
+        let (rank, threads) = {
+            let run = region.run.lock();
+            (run.rank, run.threads)
+        };
         qp_trace::set_thread_rank(rank);
+        // The submitter already spawned the workers this target needs.
+        LEASED.with(|l| l.set(Some(threads)));
         region.help();
     }
 }
@@ -377,8 +408,10 @@ fn acquire_region(p: &'static Pool, fields: RunFields) -> Arc<Region> {
             r.cancelled.store(false, Ordering::Relaxed);
             *r.finished.lock() = false;
             *r.panic.lock() = None;
+            let threads = fields.threads;
             *r.run.lock() = fields;
             r.queued.store(n_chunks, Ordering::Relaxed);
+            r.threads.store(threads, Ordering::Relaxed);
             return r;
         }
     }
@@ -449,6 +482,7 @@ fn run_region_impl(n_items: usize, est_item_ns: Option<u64>, job: &(dyn Fn(usize
             chunk,
             n_chunks,
             rank: qp_trace::thread_rank(),
+            threads,
             label,
             stats: stats.clone(),
         },
@@ -686,6 +720,26 @@ mod tests {
             assert_eq!(active_threads(), before + 3);
         }
         assert_eq!(active_threads(), before);
+    }
+
+    #[test]
+    fn leases_are_scoped_to_their_thread() {
+        let _g = ThreadLease::exactly(3);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _other = ThreadLease::exactly(5);
+                assert_eq!(active_threads(), 5);
+                // The other thread's region is sized by its own lease.
+                let seen = Mutex::new(HashSet::new());
+                for_each_index(256, |i| {
+                    assert!(seen.lock().insert(i), "index {i} ran twice");
+                });
+                assert_eq!(seen.lock().len(), 256);
+            })
+            .join()
+            .unwrap();
+        });
+        assert_eq!(active_threads(), 3);
     }
 
     #[test]

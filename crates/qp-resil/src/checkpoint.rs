@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "QPCK"
-//! 4       4     format version (u32, currently 2)
+//! 4       4     format version (u32, currently 3)
 //! 8       1     kind (1 = SCF, 2 = DFPT)
 //! 9       8     payload length (u64)
 //! 17      8     FNV-1a 64 checksum of the payload
@@ -15,8 +15,11 @@
 //! Version history: v1 carried `(dir, iteration, c1, p1, residual)` for
 //! DFPT; v2 appends the Pulay/DIIS mixer history (`diis_in`, `diis_res`)
 //! so a restarted direction replays the DIIS-accelerated sequence
-//! bit-exactly. Loads reject other versions (a v1 file cannot seed a v2
-//! mixer without silently changing the replayed trajectory).
+//! bit-exactly. v3 drops `c1` from DFPT checkpoints: the distributed cycle
+//! mixes `P¹` like the serial one, so `P¹` and the mixer history are the
+//! whole loop state. Loads reject other versions (an older file cannot
+//! seed the current mixer without silently changing the replayed
+//! trajectory).
 //!
 //! Matrices are encoded as `rows:u64, cols:u64, data:f64×(rows·cols)` with
 //! `f64::to_le_bytes`, so a save→load round trip is **bit-exact** — the
@@ -34,7 +37,7 @@ use qp_linalg::DMatrix;
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"QPCK";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 8;
 
 const KIND_SCF: u8 = 1;
@@ -276,16 +279,14 @@ impl ScfCheckpoint {
 }
 
 /// Loop-carried DFPT state for one field direction: resume the Sternheimer
-/// cycle at `iteration + 1` with the mixed `C¹` and its `P¹`.
+/// cycle at `iteration + 1` with the mixed `P¹`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DfptCheckpoint {
     /// Cartesian direction (0 = x, 1 = y, 2 = z).
     pub dir: usize,
     /// Completed DFPT iterations.
     pub iteration: usize,
-    /// Mixed response coefficients `C¹` entering the next iteration.
-    pub c1: DMatrix,
-    /// Response density matrix `P¹` built from `c1`.
+    /// Mixed response density matrix `P¹` entering the next iteration.
     pub p1: DMatrix,
     /// `‖ΔP¹‖` at `iteration` (diagnostic only).
     pub residual: f64,
@@ -301,7 +302,6 @@ impl DfptCheckpoint {
         let mut e = Encoder::default();
         e.put_usize(self.dir);
         e.put_usize(self.iteration);
-        e.put_matrix(&self.c1);
         e.put_matrix(&self.p1);
         e.put_f64(self.residual);
         e.put_matrices(&self.diis_in);
@@ -315,7 +315,6 @@ impl DfptCheckpoint {
         let out = DfptCheckpoint {
             dir: d.usize()?,
             iteration: d.usize()?,
-            c1: d.matrix()?,
             p1: d.matrix()?,
             residual: d.f64()?,
             diis_in: d.matrices()?,
@@ -347,8 +346,7 @@ pub struct JobDoneDirection {
 }
 
 /// The in-flight DFPT direction of a preempted job: the serial analogue of
-/// [`DfptCheckpoint`] (the serial cycle mixes `P¹` directly, so there is no
-/// `C¹` to carry).
+/// [`DfptCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDirCheckpoint {
     /// Cartesian direction (0 = x, 1 = y, 2 = z).
@@ -503,8 +501,7 @@ mod tests {
         DfptCheckpoint {
             dir: 2,
             iteration: 7,
-            c1: mat(2, 2, &[0.1, -0.2, 0.3, f64::MIN_POSITIVE]),
-            p1: mat(2, 2, &[1.0, 2.0, 3.0, -4.0]),
+            p1: mat(2, 2, &[0.1, -0.2, 0.3, f64::MIN_POSITIVE]),
             residual: 1.25e-5,
             diis_in: vec![mat(2, 2, &[0.9, 0.8, 0.7, 0.6]), mat(2, 2, &[0.5; 4])],
             diis_res: vec![mat(2, 2, &[1e-2; 4]), mat(2, 2, &[-1e-3, 1e-3, 0.0, 2e-3])],
@@ -516,7 +513,7 @@ mod tests {
         let ck = sample_dfpt();
         let back = DfptCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
         assert_eq!(back, ck);
-        for (a, b) in back.c1.as_slice().iter().zip(ck.c1.as_slice()) {
+        for (a, b) in back.p1.as_slice().iter().zip(ck.p1.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -79,6 +79,19 @@ for mol in water polymer:8; do
 done
 rm -rf "$ff_dir"
 
+echo "== geometry-to-alpha benchmark: self-tests + pinned-alpha smoke"
+# One short cold job per workload. perfbench checks alpha against its
+# pinned references (1e-6 relative) and the 2-rank SPMD columns against
+# the serial alpha; any failed operation fails CI.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for w in ligand49_alpha ligand49_ranks2; do
+  last="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  echo "$last" | jq -e '.failed == 0' > /dev/null \
+    || { echo "$w: failed operations: $last"; exit 1; }
+  echo "-- $w: failed = 0"
+done
+
 echo "== profile smoke: qperturb --profile on water (schema + artifact)"
 cargo build -q --release -p qp-cli -p qp-bench
 profile_dir="$(mktemp -d)"
