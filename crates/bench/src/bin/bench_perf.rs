@@ -63,7 +63,6 @@ use std::time::Instant;
 use qp_bench::workloads;
 use qp_chem::basis::BasisSettings;
 use qp_chem::grids::GridSettings;
-use qp_chem::multipole::{solve_poisson, MultipoleMoments};
 use qp_core::basis_cache::cache_counters;
 use qp_core::dfpt::{dfpt_direction, DfptOptions};
 use qp_core::operators;
@@ -71,7 +70,7 @@ use qp_core::profile::{attribute, Attribution};
 use qp_core::scf::{scf, ScfOptions};
 use qp_core::system::System;
 use qp_core::{FarFieldMode, ScreeningMode};
-use qp_grid::{farfield_tol, FarField};
+use qp_grid::farfield_tol;
 use qp_linalg::DMatrix;
 use qp_par::telemetry;
 use qp_trace::span::{set_enabled, take_events, Phase};
@@ -614,40 +613,20 @@ fn assembly_leg(build: impl Fn() -> System) -> (System, AssemblyLeg) {
     )
 }
 
-/// The DFPT Rho phase in isolation: multipole moments, radial Poisson
-/// solve, far-field potential on every grid point. Mirrors the phase body
-/// in `qp_core::dfpt` exactly: the hierarchical cluster tree serves the
-/// far field when `use_tree` (the system must carry a tree), the direct
-/// per-atom sum otherwise. Returns the wall time and the potential so the
-/// sweep can hold the tree to the direct oracle.
+/// The DFPT Rho phase in isolation (`System::hartree_potential_with`):
+/// multipole moments, radial Poisson solve, potential on every grid point.
+/// The hierarchical cluster tree serves the far field when `use_tree` (the
+/// system must carry a tree), the exact per-atom sum otherwise. Returns the
+/// wall time and the potential so the sweep can hold the tree to the
+/// direct oracle.
 fn rho_potential(sys: &System, n1: &[f64], use_tree: bool) -> (f64, Vec<f64>) {
     let t = Instant::now();
-    let plan = sys.hartree_plan();
-    let moments = match plan.as_deref() {
-        Some(pl) => MultipoleMoments::compute_planned(&sys.structure, &sys.grid, n1, pl),
-        None => MultipoleMoments::compute(&sys.structure, &sys.grid, n1, sys.lmax),
-    };
-    let hartree = solve_poisson(&sys.structure, &sys.grid, &moments);
-    let natoms = sys.structure.len();
-    let mut v1 = vec![0.0; sys.grid.len()];
-    let est = (natoms * hartree.n_lm * 8).max(1) as u64;
-    if use_tree {
-        let tree = sys
-            .farfield_tree()
-            .expect("tree-mode rho probe needs a cluster tree");
-        let far = FarField::aggregate(tree, &hartree, farfield_tol());
-        qp_par::fill_slice_hinted(&mut v1, est, |gi| {
-            far.eval(tree, &hartree, sys.grid.points[gi].position)
-        });
-    } else {
-        match plan.as_deref() {
-            Some(pl) => qp_par::fill_slice_hinted(&mut v1, est, |gi| hartree.eval_planned(pl, gi)),
-            None => qp_par::fill_slice_hinted(&mut v1, est, |gi| {
-                let p = &sys.grid.points[gi];
-                hartree.eval_atoms(p.position, 0..natoms)
-            }),
-        }
-    }
+    let tree = use_tree.then(|| {
+        sys.farfield_tree()
+            .expect("tree-mode rho probe needs a cluster tree")
+            .as_ref()
+    });
+    let v1 = sys.hartree_potential_with(n1, tree);
     std::hint::black_box(&v1);
     (t.elapsed().as_secs_f64(), v1)
 }

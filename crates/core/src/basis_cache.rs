@@ -47,6 +47,11 @@ pub struct BasisValueCache {
     clock: AtomicU64,
     resident_bytes: AtomicUsize,
     cap_bytes: usize,
+    /// This cache's own hit/miss/eviction counts (the global metrics sum
+    /// over every cache in the process).
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl BasisValueCache {
@@ -59,6 +64,9 @@ impl BasisValueCache {
             clock: AtomicU64::new(0),
             resident_bytes: AtomicUsize::new(0),
             cap_bytes,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -89,15 +97,26 @@ impl BasisValueCache {
         self.resident_bytes.load(Ordering::Relaxed)
     }
 
+    /// This cache's `(hits, misses, evictions)` since construction.
+    pub fn counters(&self) -> (u64, u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.evictions.load(Ordering::Relaxed),
+        )
+    }
+
     /// The table for batch `bid`, building it with `build` on a miss.
     pub fn get(&self, bid: usize, build: impl FnOnce() -> BatchBasisTable) -> Arc<BatchBasisTable> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         self.last_used[bid].store(tick, Ordering::Relaxed);
         let mut slot = self.slots[bid].lock().unwrap();
         if let Some(t) = slot.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             metrics().hits.inc();
             return t.clone();
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         metrics().misses.inc();
         let table = Arc::new(build());
         let bytes = table_bytes(&table);
@@ -134,6 +153,7 @@ impl BasisValueCache {
             if let Some(t) = guard.take() {
                 self.resident_bytes
                     .fetch_sub(table_bytes(&t), Ordering::Relaxed);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
                 let m = metrics();
                 m.evictions.inc();
                 // Rebuild churn: evictions per table build. ≳1 means the
@@ -193,11 +213,11 @@ mod tests {
     #[test]
     fn second_lookup_is_a_hit() {
         let cache = BasisValueCache::new(4, usize::MAX);
-        let (h0, m0, _) = cache_counters();
+        let (h0, m0, _) = cache.counters();
         let a = cache.get(2, || toy_table(3));
         let b = cache.get(2, || panic!("must not rebuild"));
         assert!(Arc::ptr_eq(&a, &b));
-        let (h1, m1, _) = cache_counters();
+        let (h1, m1, _) = cache.counters();
         assert_eq!(h1 - h0, 1);
         assert_eq!(m1 - m0, 1);
     }
@@ -210,16 +230,16 @@ mod tests {
         cache.get(0, || toy_table(8));
         cache.get(1, || toy_table(8));
         assert_eq!(cache.resident_bytes(), 2 * one);
-        let (_, _, e0) = cache_counters();
+        let (_, _, e0) = cache.counters();
         cache.get(2, || toy_table(8)); // evicts slot 0 (oldest)
-        let (_, _, e1) = cache_counters();
+        let (_, _, e1) = cache.counters();
         assert_eq!(e1 - e0, 1);
         assert_eq!(cache.resident_bytes(), 2 * one);
         // Slot 0 rebuilds (miss), slot 2 still resident (hit).
-        let (_, m0, _) = cache_counters();
+        let (_, m0, _) = cache.counters();
         cache.get(2, || panic!("2 was just inserted"));
         cache.get(0, || toy_table(8));
-        let (_, m1, _) = cache_counters();
+        let (_, m1, _) = cache.counters();
         assert_eq!(m1 - m0, 1);
     }
 

@@ -206,21 +206,31 @@ impl<'a> DirWork<'a> {
 
         // ---- Partial rho_multipole rows from own points ----
         let rho_span = crate::phase_span(qp_trace::Phase::Rho, "rho.partial_rows");
+        // The geometry plan holds every point's own-atom harmonics (the
+        // same bits the unplanned evaluation produces).
+        let plan = system.hartree_plan();
         let mut rows = vec![vec![0.0; row_len]; natoms];
-        let mut ylm = vec![0.0; n_lm];
+        let mut ylm_buf = vec![0.0; n_lm];
         let fourpi = 4.0 * std::f64::consts::PI;
         for (bi, &b) in my_batches.iter().enumerate() {
             let batch = &system.batches[b];
             for (pi, pt) in batch.points.iter().enumerate() {
-                let gp = &system.grid.points[pt.grid_index as usize];
+                let gi = pt.grid_index as usize;
+                let gp = &system.grid.points[gi];
                 let ia = gp.atom as usize;
-                let center = system.structure.atoms[ia].position;
-                let d = [
-                    gp.position[0] - center[0],
-                    gp.position[1] - center[1],
-                    gp.position[2] - center[2],
-                ];
-                real_spherical_harmonics(system.lmax, d, &mut ylm);
+                let ylm = match plan.as_deref() {
+                    Some(pl) => pl.own_harmonics(gi),
+                    None => {
+                        let center = system.structure.atoms[ia].position;
+                        let d = [
+                            gp.position[0] - center[0],
+                            gp.position[1] - center[1],
+                            gp.position[2] - center[2],
+                        ];
+                        real_spherical_harmonics(system.lmax, d, &mut ylm_buf);
+                        &ylm_buf[..]
+                    }
+                };
                 let f = fourpi * gp.w_angular * gp.partition * local_n1[bi][pi];
                 let base = gp.shell as usize * n_lm;
                 for (lm, y) in ylm.iter().enumerate() {
@@ -299,9 +309,10 @@ impl<'a> DirWork<'a> {
             for (pi, pt) in batch.points.iter().enumerate() {
                 let gi = pt.grid_index as usize;
                 let gp = &system.grid.points[gi];
-                let v_h = match &far {
-                    Some((tree, ff)) => ff.eval(tree, &hartree, gp.position),
-                    None => hartree.eval_atoms(gp.position, 0..natoms),
+                let v_h = match (&far, plan.as_deref()) {
+                    (Some((tree, ff)), _) => ff.eval(tree, &hartree, gp.position),
+                    (None, Some(pl)) => hartree.eval_planned(pl, gi),
+                    (None, None) => hartree.eval(gp.position),
                 };
                 let v1 = v_h + self.fxc[gi] * local_n1[bi][pi];
                 let w = gp.weight * v1;

@@ -12,19 +12,44 @@
 use crate::geometry::Structure;
 use crate::grids::IntegrationGrid;
 use crate::harmonics::{lm_index, num_harmonics, real_spherical_harmonics};
-use crate::spline::CubicSpline;
+use crate::spline::{natural_second_derivatives, CubicSpline};
+
+/// Marks a far (point, atom) pair in [`HartreePlan`]'s bracket table: the
+/// pair lies beyond `r_outer` and is served by the analytic tail.
+const FAR_PAIR: u32 = u32::MAX;
+
+/// Scale real harmonics (l-major, `(lmax+1)²` entries) in place to
+/// `Y_lm / r^{l+1}`, the far-field factor of a pair at distance `r`.
+/// The plan build and the direct evaluator both go through this one
+/// helper, so their far terms carry the same bits.
+#[inline]
+fn scale_far(lmax: usize, r: f64, ylm: &mut [f64]) {
+    let inv_r = 1.0 / r;
+    let mut s = inv_r; // 1/r^{l+1}
+    for l in 0..=lmax {
+        for y in &mut ylm[l * l..(l + 1) * (l + 1)] {
+            *y *= s;
+        }
+        s *= inv_r;
+    }
+}
 
 /// Precomputed per-(grid point, atom) geometry for the Hartree phases.
 ///
 /// The grid and atom positions never change across SCF/DFPT iterations, so
-/// everything in `eval_atoms` that depends only on geometry — the
-/// point-to-atom distance, the spherical harmonics, and the radial-spline
-/// bracketing interval with its interpolation weights (shared by every lm
-/// channel, because all radial splines sit on the same knot vector) — can
-/// be computed once per system instead of once per iteration per point.
-/// Per iteration this removes the dominant `atan2`/Legendre/`sin`/`cos`
-/// work and all per-lm binary searches from the inner loop; what remains
-/// is a pure fused-multiply stream over the tables.
+/// everything in `eval_atoms` that depends only on geometry is computed
+/// once per system instead of once per iteration per point:
+///
+/// - near pairs (`r ≤ r_outer`) keep the spherical harmonics and the
+///   radial-spline bracket `(k, a, b)` — one bracket shared by every lm
+///   channel, because all radial splines sit on the same knot vector;
+/// - far pairs (`r > r_outer`) keep the far-field factor
+///   `Y_lm / r^{l+1}` in place of `Y_lm`, so their potential term is a
+///   plain dot product with [`HartreeSolution`]'s scaled tails;
+/// - every point also keeps its *own* atom's undivided harmonics (a copy
+///   of that row taken before the far scaling) for the moment
+///   accumulation — outermost-shell points can round to just beyond
+///   `r_outer`, and the moments need `Y_lm` there, not the far factor.
 ///
 /// Every cached value is produced by the *identical* floating-point
 /// expressions the direct path uses, so plan-based evaluation is
@@ -32,28 +57,34 @@ use crate::spline::CubicSpline;
 /// [`MultipoleMoments::compute`].
 #[derive(Debug)]
 pub struct HartreePlan {
-    /// Expansion order the `ylm` table was built for.
+    /// Expansion order the harmonic tables were built for.
     pub lmax: usize,
     /// `(lmax+1)²`.
     pub n_lm: usize,
     natoms: usize,
-    /// `r[ip*natoms + ia]`: distance from grid point `ip` to atom `ia`.
-    r: Vec<f64>,
-    /// Spline bracketing interval at `t = r.max(1e-6)` (valid while
-    /// `r <= r_outer`; u32 to halve the table).
+    /// Outermost radial knot: the near/far split of every pair.
+    r_outer: f64,
+    /// `k[ip*natoms + ia]`: spline bracketing interval at
+    /// `t = r.max(1e-6)` for near pairs, [`FAR_PAIR`] for far pairs.
     k: Vec<u32>,
-    /// Interpolation weight `a` of [`CubicSpline::locate`] at `t`.
+    /// Interpolation weight `a` of [`CubicSpline::locate`] (near pairs).
     a: Vec<f64>,
-    /// Interpolation weight `b` of [`CubicSpline::locate`] at `t`.
+    /// Interpolation weight `b` of [`CubicSpline::locate`] (near pairs).
     b: Vec<f64>,
     /// `ylm[(ip*natoms + ia)*n_lm + lm]`: real spherical harmonics of the
-    /// point-to-atom direction.
+    /// point-to-atom direction (near pairs) or `Y_lm / r^{l+1}` (far).
     ylm: Vec<f64>,
+    /// `own_ylm[ip*n_lm + lm]`: undivided harmonics of point `ip` about
+    /// its own atom (`grid.points[ip].atom`).
+    own_ylm: Vec<f64>,
     /// Per-atom grid-point indices in grid order (the points partitioned
     /// to that atom) — lets the moment accumulation parallelize over atoms
     /// while preserving the serial accumulation order per atom.
     atom_points: Vec<Vec<u32>>,
 }
+
+/// Grid points per parallel work item of [`HartreePlan::build`].
+const PLAN_BUILD_CHUNK: usize = 32;
 
 impl HartreePlan {
     /// Build the plan for a structure/grid pair. Cost: one harmonics
@@ -64,45 +95,54 @@ impl HartreePlan {
         let natoms = structure.len();
         let np = grid.points.len();
         let radii = grid.radial.radii();
-        // Per-point rows computed in parallel (slot `ip` owns its row), then
-        // flattened in index order — deterministic at any thread count.
-        let rows = qp_par::map_vec((0..np).collect::<Vec<usize>>(), |ip| {
-            let p = &grid.points[ip];
-            let mut row_r = vec![0.0f64; natoms];
-            let mut row_k = vec![0u32; natoms];
-            let mut row_a = vec![0.0f64; natoms];
-            let mut row_b = vec![0.0f64; natoms];
-            let mut row_ylm = vec![0.0f64; natoms * n_lm];
-            for ia in 0..natoms {
-                let c = structure.atoms[ia].position;
-                // Same arithmetic as eval_atoms / compute: d, then r.
-                let d = [
-                    p.position[0] - c[0],
-                    p.position[1] - c[1],
-                    p.position[2] - c[2],
-                ];
-                let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-                row_r[ia] = r;
-                real_spherical_harmonics(lmax, d, &mut row_ylm[ia * n_lm..(ia + 1) * n_lm]);
-                let (k, a, b) = CubicSpline::locate(radii, r.max(1e-6));
-                row_k[ia] = k as u32;
-                row_a[ia] = a;
-                row_b[ia] = b;
+        let r_outer = radii[radii.len() - 1];
+        let mut k = vec![0u32; np * natoms];
+        let mut a = vec![0.0f64; np * natoms];
+        let mut b = vec![0.0f64; np * natoms];
+        let mut ylm = vec![0.0f64; np * natoms * n_lm];
+        let mut own_ylm = vec![0.0f64; np * n_lm];
+        // Chunks of points fill disjoint slices of every table in place;
+        // each value depends only on its own (point, atom), so the tables
+        // are identical at any thread count.
+        let pair_chunk = (PLAN_BUILD_CHUNK * natoms).max(1);
+        let items: Vec<_> = k
+            .chunks_mut(pair_chunk)
+            .zip(a.chunks_mut(pair_chunk))
+            .zip(b.chunks_mut(pair_chunk))
+            .zip(ylm.chunks_mut(pair_chunk * n_lm))
+            .zip(own_ylm.chunks_mut(PLAN_BUILD_CHUNK * n_lm))
+            .enumerate()
+            .collect();
+        qp_par::for_each_vec(items, |(chunk, ((((k, a), b), ylm), own))| {
+            for (j, own_row) in own.chunks_mut(n_lm).enumerate() {
+                let p = &grid.points[chunk * PLAN_BUILD_CHUNK + j];
+                for ia in 0..natoms {
+                    let pair = j * natoms + ia;
+                    let c = structure.atoms[ia].position;
+                    // Same arithmetic as eval_atoms / compute: d, then r.
+                    let d = [
+                        p.position[0] - c[0],
+                        p.position[1] - c[1],
+                        p.position[2] - c[2],
+                    ];
+                    let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+                    let row = &mut ylm[pair * n_lm..(pair + 1) * n_lm];
+                    real_spherical_harmonics(lmax, d, row);
+                    if ia == p.atom as usize {
+                        own_row.copy_from_slice(row);
+                    }
+                    if r <= r_outer {
+                        let (kk, aa, bb) = CubicSpline::locate(radii, r.max(1e-6));
+                        k[pair] = kk as u32;
+                        a[pair] = aa;
+                        b[pair] = bb;
+                    } else {
+                        k[pair] = FAR_PAIR;
+                        scale_far(lmax, r, row);
+                    }
+                }
             }
-            (row_r, row_k, row_a, row_b, row_ylm)
         });
-        let mut r = Vec::with_capacity(np * natoms);
-        let mut k = Vec::with_capacity(np * natoms);
-        let mut a = Vec::with_capacity(np * natoms);
-        let mut b = Vec::with_capacity(np * natoms);
-        let mut ylm = Vec::with_capacity(np * natoms * n_lm);
-        for (row_r, row_k, row_a, row_b, row_ylm) in rows {
-            r.extend_from_slice(&row_r);
-            k.extend_from_slice(&row_k);
-            a.extend_from_slice(&row_a);
-            b.extend_from_slice(&row_b);
-            ylm.extend_from_slice(&row_ylm);
-        }
         let mut atom_points = vec![Vec::new(); natoms];
         for (ip, p) in grid.points.iter().enumerate() {
             atom_points[p.atom as usize].push(ip as u32);
@@ -111,11 +151,12 @@ impl HartreePlan {
             lmax,
             n_lm,
             natoms,
-            r,
+            r_outer,
             k,
             a,
             b,
             ylm,
+            own_ylm,
             atom_points,
         }
     }
@@ -125,21 +166,28 @@ impl HartreePlan {
         self.natoms
     }
 
+    /// Undivided real harmonics of grid point `ip` about its own atom —
+    /// the values [`MultipoleMoments::compute`] evaluates for that point.
+    pub fn own_harmonics(&self, ip: usize) -> &[f64] {
+        &self.own_ylm[ip * self.n_lm..(ip + 1) * self.n_lm]
+    }
+
     /// Heap footprint of the tables in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.r.len() * 8
-            + self.k.len() * 4
+        self.k.len() * 4
             + self.a.len() * 8
             + self.b.len() * 8
             + self.ylm.len() * 8
+            + self.own_ylm.len() * 8
             + self.atom_points.iter().map(|v| v.len() * 4).sum::<usize>()
     }
 
-    /// Estimated table size for a hypothetical plan (gate big systems
-    /// before paying the build).
+    /// Table size of a plan over `np` points and `natoms` atoms, without
+    /// building it (gates big systems before paying the build). Equal to
+    /// the built plan's [`memory_bytes`](Self::memory_bytes).
     pub fn estimate_bytes(np: usize, natoms: usize, lmax: usize) -> usize {
         let n_lm = num_harmonics(lmax);
-        np * natoms * (8 + 4 + 8 + 8 + n_lm * 8) + np * 4
+        np * natoms * (4 + 8 + 8 + n_lm * 8) + np * (n_lm * 8 + 4)
     }
 }
 
@@ -217,8 +265,8 @@ impl MultipoleMoments {
     }
 
     /// Plan-accelerated [`compute`](Self::compute): the harmonics come from
-    /// the [`HartreePlan`] tables and the per-atom accumulations run in
-    /// parallel. Bit-identical to `compute` because each grid point
+    /// the [`HartreePlan`]'s own-atom table and the per-atom accumulations
+    /// run in parallel. Bit-identical to `compute` because each grid point
     /// contributes only to its own atom's moments (`p.atom`), the plan's
     /// `atom_points` lists preserve grid order, and the scalar expression
     /// `f * y` is unchanged — so every `moments[ia]` slot sees the exact
@@ -246,7 +294,7 @@ impl MultipoleMoments {
                 let p = &grid.points[ip];
                 let base = p.shell as usize * n_lm;
                 let f = fourpi * p.w_angular * p.partition * density[ip];
-                let ylm = &plan.ylm[(ip * natoms + ia) * n_lm..(ip * natoms + ia + 1) * n_lm];
+                let ylm = plan.own_harmonics(ip);
                 let dst = &mut row[base..base + n_lm];
                 for (m, y) in dst.iter_mut().zip(ylm.iter()) {
                     *m += f * y;
@@ -272,7 +320,13 @@ impl MultipoleMoments {
 }
 
 /// The partitioned Hartree potential: per `(atom, lm)` a radial spline plus
-/// the analytic far-field multipole tail.
+/// the analytic far-field multipole tail, packed for evaluation.
+///
+/// The splines of all channels share one knot vector, so they are stored
+/// as one table `spl[((ia*n_r + k)*2 + s)*n_lm + lm]` — for each atom and
+/// knot `k`, the row of values (`s = 0`) then the row of second
+/// derivatives (`s = 1`), lm contiguous. A near pair reads two adjacent
+/// knots' rows; a far pair reads `n_lm` consecutive scaled tails `qt`.
 #[derive(Debug)]
 pub struct HartreeSolution {
     /// Expansion order.
@@ -281,13 +335,91 @@ pub struct HartreeSolution {
     pub n_lm: usize,
     /// Atom centers.
     pub centers: Vec<[f64; 3]>,
-    /// `splines[atom][lm]`: `v_lm(r)` for `r ≤ r_outer`.
-    pub splines: Vec<Vec<CubicSpline>>,
     /// `tails[atom][lm]`: far-field coefficient `q_lm` with
     /// `v_lm(r > r_outer) = 4π/(2l+1) · q_lm / r^{l+1}`.
     pub tails: Vec<Vec<f64>>,
     /// Outermost tabulated radius.
     pub r_outer: f64,
+    /// Radial knots shared by every channel.
+    knots: Vec<f64>,
+    /// Packed spline values and second derivatives (layout above).
+    spl: Vec<f64>,
+    /// `qt[ia*n_lm + lm] = 4π/(2l+1) · tails[ia][lm]`.
+    qt: Vec<f64>,
+    /// Spline constructions this solution was built from.
+    splines_constructed: u64,
+}
+
+impl HartreeSolution {
+    /// Build the solution from the channel potentials on the radial knots,
+    /// `values[(ia*n_r + k)*n_lm + lm] = v_lm(knots[k])` for atom `ia`, and
+    /// the far-field tails `tails[ia][lm]`. Each `(atom, lm)` channel gets
+    /// one natural cubic spline (one construction each, the Fig. 9(c)
+    /// count), packed into the layout above.
+    pub fn new(
+        lmax: usize,
+        centers: Vec<[f64; 3]>,
+        knots: Vec<f64>,
+        values: &[f64],
+        tails: Vec<Vec<f64>>,
+    ) -> HartreeSolution {
+        let n_lm = num_harmonics(lmax);
+        let n_r = knots.len();
+        let natoms = centers.len();
+        assert_eq!(values.len(), natoms * n_r * n_lm);
+        assert_eq!(tails.len(), natoms);
+        let mut spl = vec![0.0; natoms * n_r * 2 * n_lm];
+        // Atoms are independent and each fills its own block, so the
+        // table is identical at any thread count.
+        let blocks: Vec<_> = spl
+            .chunks_mut((n_r * 2 * n_lm).max(1))
+            .zip(values.chunks((n_r * n_lm).max(1)))
+            .collect();
+        qp_par::for_each_vec(blocks, |(block, v)| {
+            let mut y = vec![0.0; n_r];
+            let mut y2 = vec![0.0; n_r];
+            let mut u = vec![0.0; n_r];
+            for lm in 0..n_lm {
+                for (k, yk) in y.iter_mut().enumerate() {
+                    *yk = v[k * n_lm + lm];
+                }
+                natural_second_derivatives(&knots, &y, &mut y2, &mut u);
+                for k in 0..n_r {
+                    block[2 * k * n_lm + lm] = y[k];
+                    block[(2 * k + 1) * n_lm + lm] = y2[k];
+                }
+            }
+        });
+        let fourpi = 4.0 * std::f64::consts::PI;
+        let qt = tails
+            .iter()
+            .flat_map(|q| {
+                assert_eq!(q.len(), n_lm);
+                q.iter().enumerate().map(move |(lm, &q)| {
+                    let (l, _) = crate::harmonics::lm_from_index(lm);
+                    fourpi / (2.0 * l as f64 + 1.0) * q
+                })
+            })
+            .collect();
+        HartreeSolution {
+            lmax,
+            n_lm,
+            centers,
+            tails,
+            r_outer: knots.last().copied().unwrap_or(0.0),
+            knots,
+            spl,
+            qt,
+            splines_constructed: (natoms * n_lm) as u64,
+        }
+    }
+
+    /// Cubic-spline constructions behind this solution (one per
+    /// `(atom, lm)` channel) — the per-solve Fig. 9(c) count, independent
+    /// of whatever else the process constructs concurrently.
+    pub fn splines_constructed(&self) -> u64 {
+        self.splines_constructed
+    }
 }
 
 /// Solve the (response) Poisson equation for a density given on the grid,
@@ -310,7 +442,8 @@ pub fn solve_poisson(
     // serial sweep at any thread count.
     let per_atom = qp_par::map_vec((0..moments.moments.len()).collect::<Vec<usize>>(), |ia| {
         let mom = &moments.moments[ia];
-        let mut atom_splines = Vec::with_capacity(n_lm);
+        // v[k*n_lm + lm] = v_lm(r_k).
+        let mut atom_values = vec![0.0; n_r * n_lm];
         let mut atom_tails = Vec::with_capacity(n_lm);
         for lm in 0..n_lm {
             let (l, _m) = crate::harmonics::lm_from_index(lm);
@@ -332,35 +465,64 @@ pub fn solve_poisson(
             let outer: Vec<f64> = cum.iter().map(|c| total - c).collect();
 
             let pref = fourpi / (2.0 * l as f64 + 1.0);
-            let v: Vec<f64> = (0..n_r)
-                .map(|k| pref * (inner[k] / radii[k].powi(li + 1) + radii[k].powi(li) * outer[k]))
-                .collect();
+            for k in 0..n_r {
+                atom_values[k * n_lm + lm] =
+                    pref * (inner[k] / radii[k].powi(li + 1) + radii[k].powi(li) * outer[k]);
+            }
             atom_tails.push(inner[n_r - 1]);
-            atom_splines.push(CubicSpline::natural(radii.to_vec(), v));
         }
-        (atom_splines, atom_tails)
+        (atom_values, atom_tails)
     });
-    let mut splines = Vec::with_capacity(structure.len());
-    let mut tails = Vec::with_capacity(structure.len());
-    for (atom_splines, atom_tails) in per_atom {
-        splines.push(atom_splines);
-        tails.push(atom_tails);
-    }
-    HartreeSolution {
+    let (values, tails): (Vec<Vec<f64>>, Vec<Vec<f64>>) = per_atom.into_iter().unzip();
+    HartreeSolution::new(
         lmax,
-        n_lm,
-        centers: structure.atoms.iter().map(|a| a.position).collect(),
-        splines,
+        structure.atoms.iter().map(|a| a.position).collect(),
+        radii.to_vec(),
+        &values.concat(),
         tails,
-        r_outer: radii[n_r - 1],
-    }
+    )
 }
 
 impl HartreeSolution {
+    /// Near-pair term `Σ_lm v_lm(r) · Y_lm` of atom `ia`, from the bracket
+    /// `(k, a, b)` of [`CubicSpline::locate`] on the shared knots. Each
+    /// channel's value is [`CubicSpline::eval_at`]'s expression on the
+    /// packed rows of knots `k` and `k + 1`.
+    #[inline]
+    fn near_term(&self, ia: usize, k: usize, a: f64, b: f64, ylm: &[f64]) -> f64 {
+        let n_lm = self.n_lm;
+        let h = self.knots[k + 1] - self.knots[k];
+        let hh = h * h;
+        let ca = a * a * a - a;
+        let cb = b * b * b - b;
+        let base = (ia * self.knots.len() + k) * 2 * n_lm;
+        let rows = &self.spl[base..base + 4 * n_lm];
+        let (y0, rest) = rows.split_at(n_lm);
+        let (m0, rest) = rest.split_at(n_lm);
+        let (y1, m1) = rest.split_at(n_lm);
+        let mut acc = 0.0;
+        for lm in 0..n_lm {
+            let v = a * y0[lm] + b * y1[lm] + (ca * m0[lm] + cb * m1[lm]) * hh / 6.0;
+            acc += v * ylm[lm];
+        }
+        acc
+    }
+
+    /// Far-pair term of atom `ia`: `Σ_lm qt_lm · fy_lm` with
+    /// `fy = Y_lm / r^{l+1}` (see [`scale_far`]).
+    #[inline]
+    fn far_term(&self, ia: usize, fy: &[f64]) -> f64 {
+        let qt = &self.qt[ia * self.n_lm..(ia + 1) * self.n_lm];
+        let mut acc = 0.0;
+        for (q, y) in qt.iter().zip(fy) {
+            acc += q * y;
+        }
+        acc
+    }
+
     /// Evaluate the potential at `p`, summing the contribution of the listed
     /// atoms (callers prune by distance; pass `0..natoms` for all).
     pub fn eval_atoms(&self, p: [f64; 3], atoms: impl IntoIterator<Item = usize>) -> f64 {
-        let fourpi = 4.0 * std::f64::consts::PI;
         let mut ylm = vec![0.0; self.n_lm];
         let mut v = 0.0;
         for ia in atoms {
@@ -368,17 +530,13 @@ impl HartreeSolution {
             let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
             let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
             real_spherical_harmonics(self.lmax, d, &mut ylm);
-            if r <= self.r_outer {
-                for lm in 0..self.n_lm {
-                    v += self.splines[ia][lm].eval(r.max(1e-6)) * ylm[lm];
-                }
+            v += if r <= self.r_outer {
+                let (k, a, b) = CubicSpline::locate(&self.knots, r.max(1e-6));
+                self.near_term(ia, k, a, b, &ylm)
             } else {
-                for lm in 0..self.n_lm {
-                    let (l, _) = crate::harmonics::lm_from_index(lm);
-                    let pref = fourpi / (2.0 * l as f64 + 1.0);
-                    v += pref * self.tails[ia][lm] / r.powi(l as i32 + 1) * ylm[lm];
-                }
-            }
+                scale_far(self.lmax, r, &mut ylm);
+                self.far_term(ia, &ylm)
+            };
         }
         v
     }
@@ -388,45 +546,39 @@ impl HartreeSolution {
         self.eval_atoms(p, 0..self.centers.len())
     }
 
-    /// Plan-accelerated [`eval`](Self::eval) at grid point `ip`: distances,
-    /// harmonics, and the shared spline bracket come from the
-    /// [`HartreePlan`] tables instead of being recomputed. Atoms are summed
-    /// in ascending order and every scalar expression matches `eval_atoms`
-    /// exactly, so the result is bit-identical to `eval(grid.points[ip])`.
+    /// Plan-accelerated [`eval`](Self::eval) at grid point `ip`: the
+    /// harmonics (or far-field factors) and the shared spline bracket come
+    /// from the [`HartreePlan`] tables instead of being recomputed. Atoms
+    /// are summed in ascending order through the same per-pair terms as
+    /// `eval_atoms`, so the result is bit-identical to
+    /// `eval(grid.points[ip])`.
     pub fn eval_planned(&self, plan: &HartreePlan, ip: usize) -> f64 {
         debug_assert_eq!(plan.natoms, self.centers.len());
         debug_assert_eq!(plan.lmax, self.lmax);
-        let fourpi = 4.0 * std::f64::consts::PI;
+        debug_assert_eq!(plan.r_outer.to_bits(), self.r_outer.to_bits());
         let natoms = plan.natoms;
         let n_lm = self.n_lm;
+        let pairs = ip * natoms..(ip + 1) * natoms;
+        let ylm = plan.ylm[pairs.start * n_lm..pairs.end * n_lm].chunks_exact(n_lm);
         let mut v = 0.0;
-        for ia in 0..natoms {
-            let idx = ip * natoms + ia;
-            let r = plan.r[idx];
-            let ylm = &plan.ylm[idx * n_lm..(idx + 1) * n_lm];
-            if r <= self.r_outer {
-                let (k, a, b) = (plan.k[idx] as usize, plan.a[idx], plan.b[idx]);
-                for lm in 0..n_lm {
-                    v += self.splines[ia][lm].eval_at(k, a, b) * ylm[lm];
-                }
+        for (ia, ((y, &k), (&a, &b))) in ylm
+            .zip(&plan.k[pairs.clone()])
+            .zip(plan.a[pairs.clone()].iter().zip(&plan.b[pairs]))
+            .enumerate()
+        {
+            v += if k == FAR_PAIR {
+                self.far_term(ia, y)
             } else {
-                for lm in 0..n_lm {
-                    let (l, _) = crate::harmonics::lm_from_index(lm);
-                    let pref = fourpi / (2.0 * l as f64 + 1.0);
-                    v += pref * self.tails[ia][lm] / r.powi(l as i32 + 1) * ylm[lm];
-                }
-            }
+                self.near_term(ia, k as usize, a, b, y)
+            };
         }
         v
     }
 
-    /// Total bytes of all spline tables — the `delta_v_hart_part_spl`
-    /// volume of Fig. 12(a).
+    /// Total bytes of the packed spline tables (knots, values and second
+    /// derivatives) — the `delta_v_hart_part_spl` volume of Fig. 12(a).
     pub fn spline_table_bytes(&self) -> usize {
-        self.splines
-            .iter()
-            .flat_map(|per_atom| per_atom.iter().map(|s| s.memory_bytes()))
-            .sum()
+        (self.knots.len() + self.spl.len()) * std::mem::size_of::<f64>()
     }
 }
 
@@ -866,6 +1018,126 @@ mod tests {
             let d = sol.eval(grid.points[ip].position);
             let p = sol.eval_planned(&plan, ip);
             assert_eq!(d.to_bits(), p.to_bits(), "potential mismatch at point {ip}");
+        }
+    }
+
+    /// A smooth, anisotropic density so every lm channel carries weight.
+    fn lumpy_density(grid: &IntegrationGrid, s: &Structure) -> Vec<f64> {
+        grid.points
+            .iter()
+            .map(|p| {
+                s.atoms
+                    .iter()
+                    .map(|a| {
+                        let r = dist3(p.position, a.position);
+                        (-0.7 * r * r).exp() * (1.0 + 0.2 * (p.position[0] - a.position[1]))
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Real grids: water (light), polyethylene(4) (coarse), the 49-atom
+    /// ligand (bench grade: 8 radial shells × 6 angular points).
+    fn real_systems() -> Vec<(&'static str, Structure, IntegrationGrid)> {
+        let mut bench = GridSettings::coarse();
+        bench.n_radial = 8;
+        bench.max_angular = 6;
+        bench.min_angular = 6;
+        [
+            ("water", crate::structures::water(), GridSettings::light()),
+            (
+                "polyethylene(4)",
+                crate::structures::polyethylene(4),
+                GridSettings::coarse(),
+            ),
+            ("ligand49", crate::structures::ligand49(), bench),
+        ]
+        .into_iter()
+        .map(|(name, s, gs)| {
+            let grid = IntegrationGrid::build(&s, &gs);
+            (name, s, grid)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn planned_equals_direct_at_every_point_of_real_grids_at_1_2_8_threads() {
+        let lmax = 2;
+        let mut own_far = 0;
+        for (name, s, grid) in real_systems() {
+            let n = lumpy_density(&grid, &s);
+            let outer = grid.radial.len() as u32 - 1;
+            assert!(grid.points.iter().any(|p| p.shell == outer), "{name}");
+            let mut per_threads: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
+            for threads in [1, 2, 8] {
+                let _lease = qp_par::ThreadLease::exactly(threads);
+                let plan = HartreePlan::build(&s, &grid, lmax);
+                let direct = MultipoleMoments::compute(&s, &grid, &n, lmax);
+                let planned = MultipoleMoments::compute_planned(&s, &grid, &n, &plan);
+                let moment_bits: Vec<u64> = direct
+                    .moments
+                    .concat()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let planned_bits: Vec<u64> = planned
+                    .moments
+                    .concat()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(
+                    moment_bits, planned_bits,
+                    "{name}: moments at {threads} threads"
+                );
+
+                let sol = solve_poisson(&s, &grid, &direct);
+                let mut potential = Vec::with_capacity(grid.len());
+                for (ip, p) in grid.points.iter().enumerate() {
+                    let d = sol.eval(p.position);
+                    let pl = sol.eval_planned(&plan, ip);
+                    assert_eq!(
+                        d.to_bits(),
+                        pl.to_bits(),
+                        "{name}: potential at point {ip} (shell {}) at {threads} threads",
+                        p.shell
+                    );
+                    potential.push(pl.to_bits());
+                }
+                if threads == 1 {
+                    // Own-atom pairs that rounding puts beyond r_outer: their
+                    // plan row holds the far factor, the moments must not.
+                    own_far += (0..grid.len())
+                        .filter(|&ip| {
+                            plan.k[ip * plan.natoms + grid.points[ip].atom as usize] == FAR_PAIR
+                        })
+                        .count();
+                }
+                per_threads.push((moment_bits, potential));
+            }
+            assert!(
+                per_threads.windows(2).all(|w| w[0] == w[1]),
+                "{name}: thread-count dependence"
+            );
+        }
+        assert!(
+            own_far > 0,
+            "no outermost-shell point lies beyond r_outer; the own-atom table is untested"
+        );
+    }
+
+    #[test]
+    fn estimate_bytes_equals_memory_bytes_of_built_plans() {
+        for (name, s, grid) in real_systems() {
+            for lmax in [0, 2, 3] {
+                let plan = HartreePlan::build(&s, &grid, lmax);
+                assert_eq!(
+                    HartreePlan::estimate_bytes(grid.len(), s.len(), lmax),
+                    plan.memory_bytes(),
+                    "{name}, lmax {lmax}"
+                );
+            }
         }
     }
 

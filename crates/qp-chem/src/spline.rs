@@ -22,6 +22,36 @@ pub fn reset_spline_constructions() {
     SPLINE_CONSTRUCTIONS.store(0, Ordering::Relaxed);
 }
 
+/// Second derivatives `y2` at the knots of the natural cubic spline
+/// through `(x_i, y_i)`; `u` is scratch of the same length. This is the
+/// construction step of [`CubicSpline::natural`] and counts as one spline
+/// construction. Panics if fewer than 2 points or `x` not strictly
+/// increasing.
+pub fn natural_second_derivatives(x: &[f64], y: &[f64], y2: &mut [f64], u: &mut [f64]) {
+    let n = x.len();
+    assert_eq!(n, y.len(), "x/y length mismatch");
+    assert!(n >= 2, "need at least two knots");
+    assert!(y2.len() == n && u.len() == n, "workspace length mismatch");
+    for w in x.windows(2) {
+        assert!(w[1] > w[0], "x must be strictly increasing");
+    }
+    SPLINE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+
+    y2.fill(0.0);
+    u.fill(0.0);
+    // Tridiagonal sweep (natural boundary conditions: y2[0] = y2[n-1] = 0).
+    for i in 1..n - 1 {
+        let sig = (x[i] - x[i - 1]) / (x[i + 1] - x[i - 1]);
+        let p = sig * y2[i - 1] + 2.0;
+        y2[i] = (sig - 1.0) / p;
+        let d = (y[i + 1] - y[i]) / (x[i + 1] - x[i]) - (y[i] - y[i - 1]) / (x[i] - x[i - 1]);
+        u[i] = (6.0 * d / (x[i + 1] - x[i - 1]) - sig * u[i - 1]) / p;
+    }
+    for i in (0..n - 1).rev() {
+        y2[i] = y2[i] * y2[i + 1] + u[i];
+    }
+}
+
 /// A natural cubic spline through `(x_i, y_i)` with strictly increasing `x`.
 #[derive(Debug, Clone)]
 pub struct CubicSpline {
@@ -35,27 +65,10 @@ impl CubicSpline {
     /// Construct a natural cubic spline. Panics if fewer than 2 points or
     /// `x` not strictly increasing.
     pub fn natural(x: Vec<f64>, y: Vec<f64>) -> Self {
-        assert_eq!(x.len(), y.len(), "x/y length mismatch");
-        assert!(x.len() >= 2, "need at least two knots");
-        for w in x.windows(2) {
-            assert!(w[1] > w[0], "x must be strictly increasing");
-        }
-        SPLINE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-
         let n = x.len();
         let mut y2 = vec![0.0; n];
         let mut u = vec![0.0; n];
-        // Tridiagonal sweep (natural boundary conditions: y2[0] = y2[n-1] = 0).
-        for i in 1..n - 1 {
-            let sig = (x[i] - x[i - 1]) / (x[i + 1] - x[i - 1]);
-            let p = sig * y2[i - 1] + 2.0;
-            y2[i] = (sig - 1.0) / p;
-            let d = (y[i + 1] - y[i]) / (x[i + 1] - x[i]) - (y[i] - y[i - 1]) / (x[i] - x[i - 1]);
-            u[i] = (6.0 * d / (x[i + 1] - x[i - 1]) - sig * u[i - 1]) / p;
-        }
-        for i in (0..n - 1).rev() {
-            y2[i] = y2[i] * y2[i + 1] + u[i];
-        }
+        natural_second_derivatives(&x, &y, &mut y2, &mut u);
         CubicSpline { x, y, y2 }
     }
 

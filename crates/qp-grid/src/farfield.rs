@@ -406,35 +406,28 @@ mod tests {
     /// Poisson solve per proptest case.
     fn synthetic_solution(centers: &[[f64; 3]], lmax: usize, tails: &[f64]) -> HartreeSolution {
         use qp_chem::harmonics::num_harmonics;
-        use qp_chem::spline::CubicSpline;
         let n_lm = num_harmonics(lmax);
         let r_outer = 3.0;
         let radii: Vec<f64> = (0..12)
             .map(|i| 0.05 + (i as f64) * (r_outer - 0.05) / 11.0)
             .collect();
-        let mut atom_tails = Vec::with_capacity(centers.len());
-        let mut splines = Vec::with_capacity(centers.len());
-        for ia in 0..centers.len() {
-            let q: Vec<f64> = (0..n_lm)
-                .map(|lm| tails[(ia * n_lm + lm) % tails.len()])
-                .collect();
-            let atom_splines: Vec<CubicSpline> = (0..n_lm)
-                .map(|lm| {
-                    let v: Vec<f64> = radii.iter().map(|r| q[lm] / (1.0 + r * r)).collect();
-                    CubicSpline::natural(radii.clone(), v)
-                })
-                .collect();
-            atom_tails.push(q);
-            splines.push(atom_splines);
-        }
-        HartreeSolution {
-            lmax,
-            n_lm: num_harmonics(lmax),
-            centers: centers.to_vec(),
-            splines,
-            tails: atom_tails,
-            r_outer,
-        }
+        let atom_tails: Vec<Vec<f64>> = (0..centers.len())
+            .map(|ia| {
+                (0..n_lm)
+                    .map(|lm| tails[(ia * n_lm + lm) % tails.len()])
+                    .collect()
+            })
+            .collect();
+        // v_lm(r) = q_lm / (1 + r²) on every knot, [atom][knot][lm].
+        let values: Vec<f64> = atom_tails
+            .iter()
+            .flat_map(|q| {
+                radii
+                    .iter()
+                    .flat_map(move |r| q.iter().map(move |q| q / (1.0 + r * r)))
+            })
+            .collect();
+        HartreeSolution::new(lmax, centers.to_vec(), radii, &values, atom_tails)
     }
 
     mod random_geometries {

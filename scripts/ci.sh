@@ -15,6 +15,15 @@ cargo test -q --workspace
 echo "== cargo test (QP_THREADS=4: parallel substrate leg)"
 QP_THREADS=4 cargo test -q --workspace
 
+echo "== lib tests at 8 test threads, three runs (process-global counter races)"
+# Tests that diff process-wide counters while other tests run beside them
+# fail only some of the time; three runs at 8 test threads catch them here
+# instead of at random in a later run.
+for run in 1 2 3; do
+  echo "-- run $run"
+  RUST_TEST_THREADS=8 cargo test -q -p qp-core -p qp-chem --lib
+done
+
 echo "== Sternheimer GEMM/pair-loop equivalence (QP_THREADS=4)"
 QP_THREADS=4 cargo test -q -p qp-core sternheimer
 
