@@ -18,11 +18,13 @@
 
 use crate::mixing::{DfptMixer, MixState};
 use crate::operators;
+use crate::parallel::RankView;
 use crate::scf::ScfResult;
 use crate::system::System;
 use crate::{CoreError, Result};
 use qp_chem::xc;
 use qp_linalg::DMatrix;
+use qp_resil::DfptCheckpoint;
 
 /// The symmetric Sternheimer weight matrix in the MO basis:
 ///
@@ -285,30 +287,10 @@ pub struct DfptResult {
 pub struct DirectionResponse {
     /// Converged response density matrix.
     pub p1: DMatrix,
-    /// Response density at grid points.
+    /// Response density at grid points (empty under a rank view).
     pub n1: Vec<f64>,
     /// Iterations used.
     pub iterations: usize,
-}
-
-/// The loop-carried state of one serial DFPT direction between iterations:
-/// everything needed to resume the Sternheimer self-consistency at
-/// `iteration + 1` and replay the remaining iterations **bit-exactly**
-/// (the mixer is deterministic in its inputs, so a resumed cycle walks the
-/// identical floating-point sequence). Snapshotted by the serving layer
-/// (`qp-serve`) into `QPCK` job checkpoints at preemption boundaries.
-#[derive(Debug, Clone)]
-pub struct DfptDirState {
-    /// Completed DFPT iterations.
-    pub iteration: usize,
-    /// Mixed response density matrix entering iteration `iteration + 1`.
-    pub p1: DMatrix,
-    /// `‖ΔP¹‖` at `iteration` (diagnostic only).
-    pub residual: f64,
-    /// Pulay/DIIS mixer input history (empty under linear mixing).
-    pub diis_in: Vec<DMatrix>,
-    /// Pulay/DIIS mixer residual history (same length as `diis_in`).
-    pub diis_res: Vec<DMatrix>,
 }
 
 /// Outcome of a preemptible DFPT direction run.
@@ -317,12 +299,12 @@ pub enum DirOutcome {
     Converged(DirectionResponse),
     /// The `on_iter` callback requested preemption; resume later by
     /// passing this state back to [`dfpt_direction_preemptible`].
-    Preempted(DfptDirState),
+    Preempted(DfptCheckpoint),
 }
 
-/// The Sternheimer update both DFPT drivers (serial and SPMD) apply to a
-/// complete `H¹`: the occupation-aware target `P¹` in GEMM form, valid for
-/// integer and Fermi–Dirac ground states alike. With a screening plan
+/// The Sternheimer update of the DFPT cycle, applied to a complete `H¹`:
+/// the occupation-aware target `P¹` in GEMM form, valid for integer and
+/// Fermi–Dirac ground states alike. With a screening plan
 /// active, the MO transform skips the non-coupling `O*×O*`/`V*×V*` blocks
 /// and `C·W` restricts each column class to its coupling k-range —
 /// bit-identical to the dense contraction.
@@ -417,6 +399,16 @@ impl DfptShared {
             c_t: ground.orbitals.transpose(),
         }
     }
+
+    /// The polarizability column of a converged direction,
+    /// `α_IJ = ∫ r_I n¹_J = Tr[P¹_J D_I]` (Eq. 13) for `I = x, y, z` — the
+    /// three contractions are independent; merged in index order.
+    pub fn alpha_column(&self, p1: &DMatrix) -> [f64; 3] {
+        let col = qp_par::map_vec(vec![0, 1, 2], |i| {
+            p1.trace_product(&self.dips[i]).expect("conforming dims")
+        });
+        [col[0], col[1], col[2]]
+    }
 }
 
 /// Run the DFPT cycle for one Cartesian direction `dir`.
@@ -438,32 +430,50 @@ pub fn dfpt_direction_with(
     dir: usize,
     opts: &DfptOptions,
 ) -> Result<DirectionResponse> {
-    match dfpt_direction_preemptible(system, ground, shared, dir, opts, None, &mut |_| true)? {
+    match dfpt_direction_preemptible(system, ground, shared, dir, opts, None, None, &mut |_| true)?
+    {
         DirOutcome::Converged(resp) => Ok(resp),
         DirOutcome::Preempted(_) => unreachable!("callback never preempts"),
     }
 }
 
-/// [`dfpt_direction_with`] with checkpoint/preemption hooks — the
-/// resumable-run entry point the serving layer drives.
+/// The DFPT self-consistency cycle of one direction — the only one in the
+/// workspace: Sumup → Rho → H → Sternheimer → mix until `‖ΔP¹‖ < tol`.
 ///
-/// `resume` seeds the cycle from a previously captured [`DfptDirState`];
+/// **Rank view.** With `ranks = None` the cycle runs the whole grid on the
+/// calling thread (fanning out over qp-par). With a [`RankView`] it runs as
+/// one SPMD rank of the paper's §3 decomposition — grid work distributed,
+/// matrices replicated: Sumup, the partial `rho_multipole` moments, the
+/// potential fill and the partial `H¹` cover this rank's batches only, the
+/// moments are synthesized across ranks (per row, packed or packed
+/// hierarchical), the Poisson solve is redundant on every rank, and `H¹`
+/// is AllReduced. The rank-ordered collectives leave every rank with the
+/// same `H¹`, so every rank takes the same Sternheimer step and branches.
+/// A one-rank view reproduces the serial bits: each partial phase visits
+/// the whole grid in the serial order and a one-rank reduction returns
+/// its input.
+///
+/// **Hook.** `resume` seeds the cycle from a captured [`DfptCheckpoint`];
 /// `on_iter` observes the loop-carried state after every non-converged
 /// iteration and returns `false` to preempt the run at that boundary. A
 /// preempted-then-resumed cycle replays the identical floating-point
 /// sequence as an uninterrupted one, so the converged `P¹` (and every
-/// polarizability element contracted from it) matches to the bit.
+/// polarizability element contracted from it) matches to the bit. Serve
+/// preemption and the supervised SPMD restart are both this hook.
+#[allow(clippy::too_many_arguments)]
 pub fn dfpt_direction_preemptible(
     system: &System,
     ground: &ScfResult,
     shared: &DfptShared,
     dir: usize,
     opts: &DfptOptions,
-    resume: Option<DfptDirState>,
-    on_iter: &mut dyn FnMut(&DfptDirState) -> bool,
+    ranks: Option<&RankView>,
+    resume: Option<DfptCheckpoint>,
+    on_iter: &mut dyn FnMut(&DfptCheckpoint) -> bool,
 ) -> Result<DirOutcome> {
     let nb = system.n_basis();
     let dip = &shared.dips[dir];
+    let subset = ranks.map(|r| r.subset);
     let mut dir_span = qp_trace::SpanGuard::begin(
         qp_trace::thread_rank(),
         qp_trace::Phase::Dfpt,
@@ -478,21 +488,27 @@ pub fn dfpt_direction_preemptible(
     let dir_label = ["x", "y", "z"][dir.min(2)];
     let residual_gauge = qp_trace::global_metrics().gauge("dfpt.residual", &[("dir", dir_label)]);
 
-    let (start_iter, mut p1, mut mixer) = match resume {
-        Some(st) => (
-            st.iteration,
-            st.p1,
-            MixState::with_history(opts.mixer, opts.mixing, st.diis_in, st.diis_res),
+    let (mut iterations, mut residual, mut p1, mut mixer) = match resume {
+        Some(ck) => (
+            ck.iteration,
+            ck.residual,
+            ck.p1,
+            MixState::with_history(opts.mixer, opts.mixing, ck.diis_in, ck.diis_res),
         ),
         None => (
             0,
+            f64::INFINITY,
             DMatrix::zeros(nb, nb),
             MixState::new(opts.mixer, opts.mixing),
         ),
     };
-    let mut residual = f64::INFINITY;
 
-    for iter in (start_iter + 1)..=opts.max_iter {
+    for iter in (iterations + 1)..=opts.max_iter {
+        if let Some(r) = ranks {
+            // The injection point: a planned crash or stall at iteration
+            // `iter` fires here, before the iteration's collectives.
+            r.comm.fault_point("dfpt.iter", iter as u64)?;
+        }
         let mut iter_span =
             qp_trace::SpanGuard::begin(qp_trace::thread_rank(), qp_trace::Phase::Dfpt, "dfpt.iter");
         if iter_span.is_recording() {
@@ -501,13 +517,18 @@ pub fn dfpt_direction_preemptible(
         // Sumup: response density on the grid (Eq. 8).
         let n1 = {
             let _s = crate::phase_span(qp_trace::Phase::Sumup, "sumup.n1");
-            system.density_on_grid(&p1)
+            system.density_on(&p1, subset)
         };
 
         // Rho: response electrostatic potential (Eq. 9) + xc kernel (Eq. 12).
         let v1: Vec<f64> = {
             let _s = crate::phase_span(qp_trace::Phase::Rho, "rho.v1");
-            let mut v1 = system.hartree_potential(&n1);
+            let mut moments = system.multipole_moments(&n1, subset);
+            if let Some(r) = ranks {
+                moments = r.synthesize(moments)?;
+            }
+            let tree = system.farfield_tree().map(|t| &**t);
+            let mut v1 = system.potential_of_moments(&moments, tree, subset);
             for ((v, f), n) in v1.iter_mut().zip(&shared.fxc).zip(&n1) {
                 *v += f * n;
             }
@@ -517,7 +538,11 @@ pub fn dfpt_direction_preemptible(
         // H: response Hamiltonian (Eqs. 10-11): induced part − r_J.
         let mut h1 = {
             let _s = crate::phase_span(qp_trace::Phase::H, "h1.integrate");
-            operators::potential_matrix(system, &v1)
+            let h1 = operators::potential_matrix_on(system, &v1, subset);
+            match ranks {
+                Some(r) => r.allreduce(h1)?,
+                None => h1,
+            }
         };
         h1.axpy(-1.0, dip)?;
 
@@ -529,6 +554,7 @@ pub fn dfpt_direction_preemptible(
         // Mix P¹ (DM phase): linear or Pulay/DIIS per `opts.mixer`.
         let p1_new = mixer.step(&p1, &p1_target);
         residual = p1_new.max_abs_diff(&p1);
+        iterations = iter;
         residual_gauge.set(residual);
         if iter_span.is_recording() {
             iter_span.arg("residual", residual);
@@ -536,16 +562,22 @@ pub fn dfpt_direction_preemptible(
         p1 = p1_new;
 
         if residual < opts.tol {
-            let n1 = system.density_on_grid(&p1);
+            // A rank's share of n¹ has no consumer; only the serial result
+            // carries the response density.
+            let n1 = match ranks {
+                Some(_) => Vec::new(),
+                None => system.density_on_grid(&p1),
+            };
             return Ok(DirOutcome::Converged(DirectionResponse {
                 p1,
                 n1,
-                iterations: iter,
+                iterations,
             }));
         }
 
         let (diis_in, diis_res) = mixer.history();
-        let state = DfptDirState {
+        let state = DfptCheckpoint {
+            dir,
             iteration: iter,
             p1: p1.clone(),
             residual,
@@ -558,7 +590,7 @@ pub fn dfpt_direction_preemptible(
     }
     Err(CoreError::NoConvergence {
         what: "DFPT self-consistency",
-        iterations: opts.max_iter,
+        iterations,
         residual,
     })
 }
@@ -575,14 +607,7 @@ pub fn dfpt(system: &System, ground: &ScfResult, opts: &DfptOptions) -> Result<D
 
     for j in 0..3 {
         let resp = dfpt_direction_with(system, ground, &shared, j, opts)?;
-        // α_IJ = ∫ r_I n¹_J = Tr[P¹_J D_I] (Eq. 13) — the three row
-        // contractions are independent; merge in index order.
-        let col: Vec<f64> = qp_par::map_vec((0..3).collect::<Vec<usize>>(), |i| {
-            resp.p1
-                .trace_product(&shared.dips[i])
-                .expect("conforming dims")
-        });
-        for (i, &a_ij) in col.iter().enumerate() {
+        for (i, a_ij) in shared.alpha_column(&resp.p1).into_iter().enumerate() {
             alpha[(i, j)] = a_ij;
         }
         iterations[j] = resp.iterations;

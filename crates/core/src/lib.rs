@@ -27,7 +27,6 @@
 
 pub mod basis_cache;
 pub mod dfpt;
-pub mod dist;
 pub mod farfield;
 pub mod kernels;
 pub mod mixing;
@@ -40,14 +39,15 @@ pub mod scf;
 pub mod screening;
 pub mod system;
 
-pub use dfpt::{
-    dfpt, dfpt_direction_preemptible, DfptDirState, DfptOptions, DfptResult, DfptShared, DirOutcome,
-};
+pub use dfpt::{dfpt, dfpt_direction_preemptible, DfptOptions, DfptResult, DfptShared, DirOutcome};
 pub use farfield::FarFieldMode;
 pub use mixing::DfptMixer;
 pub use profile::{profile_case, validate_profile_json, ProfileOptions, ProfileReport};
-pub use resil::{parallel_dfpt_direction_resilient, ResilienceConfig, ResilientDirectionResult};
-pub use scf::{scf, scf_preemptible, scf_resumable, ScfOptions, ScfOutcome, ScfResult, ScfState};
+pub use resil::{
+    parallel_dfpt_direction_resilient, parallel_dfpt_direction_resilient_with, ResilienceConfig,
+    ResilientDirectionResult,
+};
+pub use scf::{scf, scf_preemptible, scf_resumable, ScfOptions, ScfOutcome, ScfResult};
 pub use screening::{ScreenPlan, ScreeningMode};
 pub use system::System;
 
@@ -84,6 +84,14 @@ pub enum CoreError {
     Linalg(qp_linalg::LinalgError),
     /// Checkpoint save/load failed (I/O, corruption, version mismatch).
     Checkpoint(String),
+    /// A distributed run lost a rank or a message (after any restarts).
+    Comm(qp_mpi::CommError),
+}
+
+impl From<qp_mpi::CommError> for CoreError {
+    fn from(e: qp_mpi::CommError) -> Self {
+        CoreError::Comm(e)
+    }
 }
 
 impl From<qp_linalg::LinalgError> for CoreError {
@@ -105,6 +113,7 @@ impl std::fmt::Display for CoreError {
             ),
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
+            CoreError::Comm(e) => write!(f, "parallel DFPT communication failed: {e}"),
         }
     }
 }

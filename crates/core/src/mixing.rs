@@ -2,10 +2,9 @@
 //! DFPT response cycle: plain linear mixing and Pulay/DIIS extrapolation.
 //!
 //! The SCF loop has used DIIS over the density matrix since PR 1; this
-//! module extracts that machinery so the DFPT drivers (serial
-//! [`crate::dfpt::dfpt_direction`] and the distributed
-//! [`crate::parallel`] `DirWork` body) can accelerate the Sternheimer
-//! self-consistency the same way — the "accelerated self-consistency"
+//! module extracts that machinery so the DFPT cycle
+//! ([`crate::dfpt::dfpt_direction_preemptible`], serial or over ranks) can
+//! accelerate the Sternheimer self-consistency the same way — the "accelerated self-consistency"
 //! half of the hot-path work, next to the GEMM-form response build.
 //!
 //! Everything here is deterministic: the extrapolation is a fixed-order

@@ -11,7 +11,7 @@
 //! Hamiltonian and the DFPT response Hamiltonian `H¹` (phase **H**).
 
 use crate::screening::ScreenPlan;
-use crate::system::{BatchBasisTable, System};
+use crate::system::{BatchBasisTable, BatchSubset, System};
 use qp_grid::Batch;
 use qp_linalg::{BlockSparseMatrix, DMatrix};
 use std::sync::Arc;
@@ -27,14 +27,21 @@ fn batch_block_est(system: &System) -> u64 {
 
 /// Assemble the overlap matrix.
 pub fn overlap(system: &System) -> DMatrix {
-    weighted_product(system, |_| 1.0)
+    weighted_product(system, None, |_| 1.0)
 }
 
 /// Assemble a local-potential matrix for `v` given *at grid points*
 /// (slice parallel to `system.grid.points`).
 pub fn potential_matrix(system: &System, v: &[f64]) -> DMatrix {
+    potential_matrix_on(system, v, None)
+}
+
+/// [`potential_matrix`] from the batches of `subset` only, when one is
+/// given: one rank's partial matrix, merged in batch order like the whole
+/// grid's, so a subset holding every batch gives the same bits.
+pub fn potential_matrix_on(system: &System, v: &[f64], subset: Option<&BatchSubset>) -> DMatrix {
     assert_eq!(v.len(), system.n_points());
-    weighted_product(system, |gi| v[gi])
+    weighted_product(system, subset, |gi| v[gi])
 }
 
 /// Assemble the dipole matrix for Cartesian direction `dir`
@@ -51,29 +58,30 @@ pub fn overlap_blocks(system: &System) -> Option<BlockSparseMatrix> {
     weighted_product_blocks(system, |_| 1.0)
 }
 
-/// Block-sparse local-potential matrix (see [`potential_matrix`]).
-pub fn potential_matrix_blocks(system: &System, v: &[f64]) -> Option<BlockSparseMatrix> {
-    assert_eq!(v.len(), system.n_points());
-    weighted_product_blocks(system, |gi| v[gi])
-}
-
 /// Block-sparse kinetic matrix (see [`kinetic`]).
 pub fn kinetic_blocks(system: &System) -> Option<BlockSparseMatrix> {
     let plan = system.screen()?;
-    let partials = assemble_partials(system, |batch, table| kinetic_block(system, batch, table));
+    let partials = assemble_partials(system, None, |batch, table| {
+        kinetic_block(system, batch, table)
+    });
     Some(merge_blocks(&partials, plan))
 }
 
-/// Per-batch contributions: each worker pulls its batch table from the
-/// basis cache and reduces the batch's points into one `nf × nf` upper
-/// triangle.  The merge (dense or block-sparse) stays on the calling
-/// thread in batch order, keeping the reduction deterministic.
+/// Per-batch contributions of every batch, or of `subset`'s: each worker
+/// pulls its batch table from the basis cache and reduces the batch's
+/// points into one `nf × nf` upper triangle.  The merge (dense or
+/// block-sparse) stays on the calling thread in batch order, keeping the
+/// reduction deterministic.
 fn assemble_partials(
     system: &System,
+    subset: Option<&BatchSubset>,
     per_batch: impl Fn(&Batch, &BatchBasisTable) -> DMatrix + Sync,
 ) -> Vec<(Arc<BatchBasisTable>, DMatrix)> {
     qp_par::map_vec_hinted(
-        (0..system.batches.len()).collect::<Vec<usize>>(),
+        subset.map_or_else(
+            || (0..system.batches.len()).collect(),
+            |s| s.batches().to_vec(),
+        ),
         batch_block_est(system),
         |bid| {
             let batch = &system.batches[bid];
@@ -247,8 +255,12 @@ fn mirror_blocks(m: &mut BlockSparseMatrix) {
 /// With a screening plan active the batch triangles scatter into the
 /// block-sparse support and densify at the end; without one they merge
 /// densely.  Both routes produce identical bytes (see [`merge_blocks`]).
-fn weighted_product(system: &System, f: impl Fn(usize) -> f64 + Sync) -> DMatrix {
-    let partials = assemble_partials(system, |batch, table| {
+fn weighted_product(
+    system: &System,
+    subset: Option<&BatchSubset>,
+    f: impl Fn(usize) -> f64 + Sync,
+) -> DMatrix {
+    let partials = assemble_partials(system, subset, |batch, table| {
         weighted_block(system, batch, table, &f)
     });
     match system.screen() {
@@ -262,7 +274,7 @@ fn weighted_product_blocks(
     f: impl Fn(usize) -> f64 + Sync,
 ) -> Option<BlockSparseMatrix> {
     let plan = system.screen()?;
-    let partials = assemble_partials(system, |batch, table| {
+    let partials = assemble_partials(system, None, |batch, table| {
         weighted_block(system, batch, table, &f)
     });
     Some(merge_blocks(&partials, plan))
@@ -270,7 +282,9 @@ fn weighted_product_blocks(
 
 /// Assemble the kinetic-energy matrix `T_μν = ½ ∫ ∇χ_μ·∇χ_ν`.
 pub fn kinetic(system: &System) -> DMatrix {
-    let partials = assemble_partials(system, |batch, table| kinetic_block(system, batch, table));
+    let partials = assemble_partials(system, None, |batch, table| {
+        kinetic_block(system, batch, table)
+    });
     match system.screen() {
         Some(plan) => merge_blocks(&partials, plan).to_dense(),
         None => merge_dense(&partials, system.n_basis()),

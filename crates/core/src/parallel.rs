@@ -1,8 +1,12 @@
-//! The distributed DFPT driver: the full Fig. 1 cycle over `qp-mpi` ranks.
+//! The distributed DFPT driver: the Fig. 1 cycle over `qp-mpi` ranks.
 //!
 //! The parallel decomposition is FHI-aims': *grid work is distributed*
 //! (batches mapped to ranks by either §3.1 strategy), *matrices are
-//! replicated* and synthesized by collectives. Per DFPT iteration each rank
+//! replicated* and synthesized by collectives. There is no separate SPMD
+//! iteration: every rank runs the one DFPT cycle,
+//! [`crate::dfpt::dfpt_direction_preemptible`], with a [`RankView`] — its
+//! communicator, its batches and the collective scheme. Per iteration each
+//! rank
 //!
 //! 1. computes `n¹` on its own batches (Sumup),
 //! 2. accumulates its partial `rho_multipole` rows and synthesizes them
@@ -10,27 +14,24 @@
 //!    packed + hierarchical (§3.2.2),
 //! 3. redundantly solves the radial Poisson problem ("trading redundant
 //!    calculations for communication avoidance", §4.2),
-//! 4. assembles its partial `H¹` block and AllReduces it,
-//! 5. performs the (replicated) Sternheimer update and mixes `P¹` — the
-//!    serial driver's own [`crate::dfpt::sternheimer_target`] and mixer, so
-//!    integer and Fermi–Dirac ground states give the serial answer.
+//! 4. assembles its partial `H¹` block (screened when the system screens)
+//!    and AllReduces it,
+//! 5. performs the (replicated) Sternheimer update and mixes `P¹`.
 //!
 //! Deterministic rank-ordered reductions make every rank take identical
-//! branches, so no extra control-flow synchronization is needed.
+//! branches, so no extra control-flow synchronization is needed, and one
+//! rank reproduces the serial cycle bit for bit.
 
-use crate::dfpt::{sternheimer_target, DfptOptions};
-use crate::mixing::{DfptMixer, MixState};
-use crate::operators;
+use crate::dfpt::{dfpt_direction_preemptible, DfptOptions, DfptShared, DirOutcome};
 use crate::scf::ScfResult;
-use crate::system::System;
+use crate::system::{BatchSubset, System};
 use crate::{CoreError, Result};
-use qp_chem::harmonics::{num_harmonics, real_spherical_harmonics};
-use qp_chem::multipole::{solve_poisson, MultipoleMoments};
-use qp_chem::xc;
+use qp_chem::multipole::MultipoleMoments;
 use qp_grid::mapping::{LoadBalancingMapping, LocalityEnhancingMapping, TaskMapping};
 use qp_linalg::DMatrix;
 use qp_mpi::packed::PackedAllReduce;
-use qp_mpi::{run_spmd, CommError, ReduceOp, TrafficRecord};
+use qp_mpi::{run_spmd_with, Comm, CommError, ReduceOp, SpmdOptions, TrafficRecord};
+use qp_resil::DfptCheckpoint;
 
 /// Which §3.1 task mapping distributes the batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,183 +79,36 @@ pub struct ParallelDirectionResult {
     pub points_per_rank: Vec<usize>,
 }
 
-/// Compute this rank's batch assignment (identical on every rank).
-pub(crate) fn assign_batches(system: &System, cfg: &ParallelConfig) -> Vec<usize> {
-    match cfg.mapping {
-        MappingKind::LoadBalancing => LoadBalancingMapping.assign(&system.batches, cfg.n_ranks),
-        MappingKind::LocalityEnhancing => {
-            LocalityEnhancingMapping.assign(&system.batches, cfg.n_ranks)
-        }
-    }
+/// One SPMD rank's view of the DFPT cycle: its communicator, its share of
+/// the grid and how the `rho_multipole` rows are synthesized.
+pub struct RankView<'a> {
+    /// This rank's communicator.
+    pub comm: &'a Comm,
+    /// The batches the task mapping gave this rank.
+    pub subset: &'a BatchSubset,
+    /// Collective scheme for `rho_multipole`.
+    pub collectives: CollectiveScheme,
 }
 
-/// Per-direction precomputation plus the full Fig. 1 iteration body,
-/// shared by the plain driver below and the supervised resilient driver in
-/// [`crate::resil`].
-pub(crate) struct DirWork<'a> {
-    system: &'a System,
-    ground: &'a ScfResult,
-    collectives: CollectiveScheme,
-    mixing: f64,
-    mixer: DfptMixer,
-    dir: usize,
-    dip: DMatrix,
-    fxc: Vec<f64>,
-    /// `Cᵀ` — the MO transform's left factor, built once per direction.
-    c_t: DMatrix,
-    nb: usize,
-    n_lm: usize,
-    row_len: usize,
-    natoms: usize,
-}
-
-/// The loop-carried state of one rank's DFPT direction: the mixed `P¹`
-/// and the mixer history. Identical on every rank at each
-/// iteration boundary (deterministic collectives), which is what makes
-/// rank 0's checkpoint of it a consistent global cut.
-pub(crate) struct DirState {
-    pub(crate) p1: DMatrix,
-    pub(crate) mixer: MixState,
-}
-
-impl<'a> DirWork<'a> {
-    pub(crate) fn new(
-        system: &'a System,
-        ground: &'a ScfResult,
-        dir: usize,
-        opts: &DfptOptions,
-        cfg: &ParallelConfig,
-    ) -> Self {
-        let n_lm = num_harmonics(system.lmax);
-        DirWork {
-            system,
-            ground,
-            collectives: cfg.collectives,
-            mixing: opts.mixing,
-            mixer: opts.mixer,
-            dir,
-            dip: operators::dipole_matrix(system, dir),
-            fxc: ground
-                .density
+impl RankView<'_> {
+    /// Sum every rank's partial `rho_multipole` rows (one collective
+    /// round per iteration, through the configured scheme).
+    pub(crate) fn synthesize(
+        &self,
+        partial: MultipoleMoments,
+    ) -> std::result::Result<MultipoleMoments, CommError> {
+        let comm = self.comm;
+        let rows = partial.moments;
+        let moments = match self.collectives {
+            CollectiveScheme::PerRow => rows
                 .iter()
-                .map(|&n| xc::f_xc(n.max(0.0)))
-                .collect(),
-            c_t: ground.orbitals.transpose(),
-            nb: system.n_basis(),
-            n_lm,
-            row_len: system.grid.radial.len() * n_lm,
-            natoms: system.structure.len(),
-        }
-    }
-
-    /// Fresh loop state (zero `P¹`, empty mixer history).
-    pub(crate) fn initial_state(&self) -> DirState {
-        DirState {
-            p1: DMatrix::zeros(self.nb, self.nb),
-            mixer: MixState::new(self.mixer, self.mixing),
-        }
-    }
-
-    /// Loop state restored from a checkpoint (`P¹` and the DIIS history as
-    /// captured; the histories are empty for the linear mixer).
-    pub(crate) fn state_from(
-        &self,
-        p1: DMatrix,
-        diis_in: Vec<DMatrix>,
-        diis_res: Vec<DMatrix>,
-    ) -> DirState {
-        DirState {
-            p1,
-            mixer: MixState::with_history(self.mixer, self.mixing, diis_in, diis_res),
-        }
-    }
-
-    /// The batch indices `assignment` maps to `rank`.
-    pub(crate) fn my_batches(assignment: &[usize], rank: usize) -> Vec<usize> {
-        assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r == rank)
-            .map(|(b, _)| b)
-            .collect()
-    }
-
-    /// One distributed DFPT iteration: Sumup → rho synthesis → Poisson →
-    /// `H¹` AllReduce → Sternheimer. Advances `state` in place and returns
-    /// the residual `‖ΔP¹‖`.
-    pub(crate) fn iteration(
-        &self,
-        comm: &qp_mpi::Comm,
-        my_batches: &[usize],
-        iter: usize,
-        state: &mut DirState,
-    ) -> std::result::Result<f64, CommError> {
-        let system = self.system;
-        let (nb, n_lm, row_len, natoms) = (self.nb, self.n_lm, self.row_len, self.natoms);
-        let rank = comm.rank();
-        let mut iter_span = qp_trace::SpanGuard::begin(rank, qp_trace::Phase::Dfpt, "dfpt.iter");
-        if iter_span.is_recording() {
-            iter_span.arg("iter", iter).arg("dir", self.dir);
-        }
-        // ---- Sumup on own batches (GEMM form, see `System::batch_density`) ----
-        let sumup_span = crate::phase_span(qp_trace::Phase::Sumup, "sumup.local_n1");
-        let local_n1: Vec<Vec<f64>> = my_batches
-            .iter()
-            .map(|&b| system.batch_density(b, &state.p1))
-            .collect();
-        drop(sumup_span);
-
-        // ---- Partial rho_multipole rows from own points ----
-        let rho_span = crate::phase_span(qp_trace::Phase::Rho, "rho.partial_rows");
-        // The geometry plan holds every point's own-atom harmonics (the
-        // same bits the unplanned evaluation produces).
-        let plan = system.hartree_plan();
-        let mut rows = vec![vec![0.0; row_len]; natoms];
-        let mut ylm_buf = vec![0.0; n_lm];
-        let fourpi = 4.0 * std::f64::consts::PI;
-        for (bi, &b) in my_batches.iter().enumerate() {
-            let batch = &system.batches[b];
-            for (pi, pt) in batch.points.iter().enumerate() {
-                let gi = pt.grid_index as usize;
-                let gp = &system.grid.points[gi];
-                let ia = gp.atom as usize;
-                let ylm = match plan.as_deref() {
-                    Some(pl) => pl.own_harmonics(gi),
-                    None => {
-                        let center = system.structure.atoms[ia].position;
-                        let d = [
-                            gp.position[0] - center[0],
-                            gp.position[1] - center[1],
-                            gp.position[2] - center[2],
-                        ];
-                        real_spherical_harmonics(system.lmax, d, &mut ylm_buf);
-                        &ylm_buf[..]
-                    }
-                };
-                let f = fourpi * gp.w_angular * gp.partition * local_n1[bi][pi];
-                let base = gp.shell as usize * n_lm;
-                for (lm, y) in ylm.iter().enumerate() {
-                    rows[ia][base + lm] += f * y;
-                }
-            }
-        }
-
-        drop(rho_span);
-
-        // ---- Synthesize rho_multipole across ranks ----
-        let synth_span = crate::phase_span(qp_trace::Phase::Rho, "rho.synthesize");
-        let reduced_rows: Vec<Vec<f64>> = match self.collectives {
-            CollectiveScheme::PerRow => {
-                let mut out = Vec::with_capacity(natoms);
-                for row in rows.iter() {
-                    out.push(comm.allreduce(ReduceOp::Sum, row)?);
-                }
-                out
-            }
+                .map(|row| comm.allreduce(ReduceOp::Sum, row))
+                .collect::<std::result::Result<_, _>>()?,
             CollectiveScheme::Packed => {
                 let mut packer = PackedAllReduce::new(comm, ReduceOp::Sum);
-                for (ia, row) in rows.iter().enumerate() {
-                    packer.push(&format!("rho_multipole:{ia}"), row.clone())?;
+                let natoms = rows.len();
+                for (ia, row) in rows.into_iter().enumerate() {
+                    packer.push(&format!("rho_multipole:{ia}"), row)?;
                 }
                 packer.flush()?;
                 (0..natoms)
@@ -266,104 +120,107 @@ impl<'a> DirWork<'a> {
                     .collect::<std::result::Result<_, _>>()?
             }
             CollectiveScheme::PackedHierarchical => {
-                let packed: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+                let row_len = rows.first().map_or(0, Vec::len);
+                let packed: Vec<f64> = rows.concat();
                 let reduced = qp_mpi::hierarchical::hierarchical_allreduce(
                     comm,
                     "rho_multipole",
                     ReduceOp::Sum,
                     &packed,
                 )?;
-                reduced.chunks(row_len).map(|c| c.to_vec()).collect()
+                reduced
+                    .chunks(row_len.max(1))
+                    .map(<[f64]>::to_vec)
+                    .collect()
             }
         };
+        Ok(MultipoleMoments { moments, ..partial })
+    }
 
-        drop(synth_span);
-
-        // ---- Redundant Poisson solve (producer) on every rank ----
-        let poisson_span = crate::phase_span(qp_trace::Phase::Rho, "rho.poisson");
-        let moments = MultipoleMoments {
-            lmax: system.lmax,
-            n_lm,
-            moments: reduced_rows,
-        };
-        let hartree = solve_poisson(&system.structure, &system.grid, &moments);
-        // In tree mode the far part of the per-point Hartree sum is served
-        // from aggregated cluster moments (QP_FARFIELD_TOL budget); every
-        // rank aggregates from the same redundant Poisson solution, so the
-        // replicated potential stays rank-independent.
-        let far = system.farfield_tree().map(|tree| {
-            (
-                tree,
-                qp_grid::FarField::aggregate(tree, &hartree, qp_grid::farfield_tol()),
-            )
-        });
-        drop(poisson_span);
-
-        // ---- Partial H1 from own batches ----
-        let h_span = crate::phase_span(qp_trace::Phase::H, "h1.partial");
-        let mut h1_partial = DMatrix::zeros(nb, nb);
-        for (bi, &b) in my_batches.iter().enumerate() {
-            let batch = &system.batches[b];
-            let table = system.table(b);
-            let nf = table.fn_indices.len();
-            for (pi, pt) in batch.points.iter().enumerate() {
-                let gi = pt.grid_index as usize;
-                let gp = &system.grid.points[gi];
-                let v_h = match (&far, plan.as_deref()) {
-                    (Some((tree, ff)), _) => ff.eval(tree, &hartree, gp.position),
-                    (None, Some(pl)) => hartree.eval_planned(pl, gi),
-                    (None, None) => hartree.eval(gp.position),
-                };
-                let v1 = v_h + self.fxc[gi] * local_n1[bi][pi];
-                let w = gp.weight * v1;
-                if w == 0.0 {
-                    continue;
-                }
-                let row = &table.values[pi * nf..(pi + 1) * nf];
-                for a in 0..nf {
-                    if row[a] == 0.0 {
-                        continue;
-                    }
-                    let fa = table.fn_indices[a];
-                    for bq in 0..nf {
-                        let fb = table.fn_indices[bq];
-                        h1_partial[(fa, fb)] += w * row[a] * row[bq];
-                    }
-                }
-            }
-        }
-        let h1_flat = comm.allreduce(ReduceOp::Sum, h1_partial.as_slice())?;
-        let mut h1 = DMatrix::from_vec(nb, nb, h1_flat).expect("nb x nb");
-        h1.axpy(-1.0, &self.dip).expect("same dims");
-        drop(h_span);
-
-        // ---- Replicated Sternheimer update + P¹ mixing ----
-        // The serial driver's own step on the allreduced H¹: every rank
-        // holds the same H¹, so every rank computes the same P¹.
-        let stern_span = crate::phase_span(qp_trace::Phase::Sternheimer, "sternheimer");
-        let p1_target = sternheimer_target(system, self.ground, &self.c_t, &h1);
-        drop(stern_span);
-        let p1_new = state.mixer.step(&state.p1, &p1_target);
-        let residual = p1_new.max_abs_diff(&state.p1);
-        if iter_span.is_recording() {
-            iter_span.arg("residual", residual);
-        }
-        state.p1 = p1_new;
-        Ok(residual)
+    /// Sum every rank's partial matrix (one AllReduce).
+    pub(crate) fn allreduce(&self, partial: DMatrix) -> std::result::Result<DMatrix, CommError> {
+        let (rows, cols) = (partial.rows(), partial.cols());
+        let sum = self.comm.allreduce(ReduceOp::Sum, partial.as_slice())?;
+        Ok(DMatrix::from_vec(rows, cols, sum).expect("allreduce keeps the length"))
     }
 }
 
-/// Map a communication failure onto the core error type.
-pub(crate) fn comm_failure(e: CommError) -> CoreError {
-    CoreError::NoConvergence {
-        what: match e {
-            CommError::RankFailed => "parallel DFPT (rank failure)",
-            CommError::Timeout => "parallel DFPT (communication timeout)",
-            CommError::Mismatch(_) => "parallel DFPT (collective mismatch)",
-        },
-        iterations: 0,
-        residual: f64::NAN,
+/// Each batch's rank under `cfg`'s mapping (identical on every rank).
+fn assign_batches(system: &System, cfg: &ParallelConfig) -> Vec<usize> {
+    match cfg.mapping {
+        MappingKind::LoadBalancing => LoadBalancingMapping.assign(&system.batches, cfg.n_ranks),
+        MappingKind::LocalityEnhancing => {
+            LocalityEnhancingMapping.assign(&system.batches, cfg.n_ranks)
+        }
     }
+}
+
+/// Run direction `dir`'s DFPT cycle on `cfg.n_ranks` in-process ranks, each
+/// seeded from `resume` and observed by `on_iter` (called with the rank's
+/// communicator). The outer error is a communication failure (restartable
+/// from a checkpoint); the inner one is the cycle's own, identical on
+/// every rank (rank 0's is reported). A rank whose hook returns `false`
+/// fails with [`CommError::Mismatch`], so its peers stop too.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_ranks(
+    system: &System,
+    ground: &ScfResult,
+    shared: &DfptShared,
+    dir: usize,
+    opts: &DfptOptions,
+    cfg: &ParallelConfig,
+    spmd: SpmdOptions,
+    resume: Option<&DfptCheckpoint>,
+    on_iter: &(dyn Fn(&Comm, &DfptCheckpoint) -> bool + Sync),
+) -> std::result::Result<Result<ParallelDirectionResult>, CommError> {
+    let assignment = assign_batches(system, cfg);
+    // Rank threads take the caller's qp-par target (a lease is per thread).
+    let threads = qp_par::active_threads();
+    let ranks = run_spmd_with(cfg.n_ranks, cfg.ranks_per_node, spmd, |comm| {
+        let _lease = qp_par::ThreadLease::exactly(threads);
+        let mine: Vec<usize> = (0..assignment.len())
+            .filter(|&b| assignment[b] == comm.rank())
+            .collect();
+        let points = mine.iter().map(|&b| system.batches[b].len()).sum::<usize>();
+        let subset = BatchSubset::new(system, mine);
+        let view = RankView {
+            comm,
+            subset: &subset,
+            collectives: cfg.collectives,
+        };
+        let outcome = dfpt_direction_preemptible(
+            system,
+            ground,
+            shared,
+            dir,
+            opts,
+            Some(&view),
+            resume.cloned(),
+            &mut |st| on_iter(comm, st),
+        );
+        let response = match outcome {
+            Ok(DirOutcome::Converged(resp)) => Ok(resp),
+            Ok(DirOutcome::Preempted(_)) => {
+                return Err(CommError::Mismatch("iteration hook stopped the rank"))
+            }
+            Err(CoreError::Comm(e)) => return Err(e),
+            Err(e) => Err(e),
+        };
+        let traffic = if comm.rank() == 0 {
+            comm.traffic().snapshot()
+        } else {
+            Vec::new()
+        };
+        Ok((response, traffic, points))
+    })?;
+    let points_per_rank = ranks.iter().map(|r| r.2).collect();
+    let (response, traffic, _) = ranks.into_iter().next().expect("at least one rank");
+    Ok(response.map(|resp| ParallelDirectionResult {
+        p1: resp.p1,
+        iterations: resp.iterations,
+        traffic,
+        points_per_rank,
+    }))
 }
 
 /// Run one DFPT direction distributed over `cfg.n_ranks` ranks.
@@ -374,54 +231,18 @@ pub fn parallel_dfpt_direction(
     opts: &DfptOptions,
     cfg: &ParallelConfig,
 ) -> Result<ParallelDirectionResult> {
-    let assignment = assign_batches(system, cfg);
-    let work = DirWork::new(system, ground, dir, opts, cfg);
-
-    // Rank threads take the caller's qp-par target (a lease is per thread).
-    let threads = qp_par::active_threads();
-    let outputs = run_spmd(cfg.n_ranks, cfg.ranks_per_node, |comm| {
-        let _lease = qp_par::ThreadLease::exactly(threads);
-        let rank = comm.rank();
-        let my_batches = DirWork::my_batches(&assignment, rank);
-        let my_points: usize = my_batches.iter().map(|&b| system.batches[b].len()).sum();
-
-        let mut state = work.initial_state();
-        let mut iterations = 0usize;
-        let mut converged = false;
-
-        for iter in 1..=opts.max_iter {
-            iterations = iter;
-            let residual = work.iteration(comm, &my_batches, iter, &mut state)?;
-            if residual < opts.tol {
-                converged = true;
-                break;
-            }
-        }
-
-        let traffic = if rank == 0 {
-            comm.traffic().snapshot()
-        } else {
-            Vec::new()
-        };
-        Ok((converged, iterations, state.p1.clone(), traffic, my_points))
-    })
-    .map_err(comm_failure)?;
-
-    let (converged, iterations, p1, traffic, _) = outputs[0].clone();
-    if !converged {
-        return Err(CoreError::NoConvergence {
-            what: "parallel DFPT self-consistency",
-            iterations,
-            residual: f64::NAN,
-        });
-    }
-    let points_per_rank = outputs.iter().map(|o| o.4).collect();
-    Ok(ParallelDirectionResult {
-        p1,
-        iterations,
-        traffic,
-        points_per_rank,
-    })
+    let shared = DfptShared::new(system, ground);
+    run_ranks(
+        system,
+        ground,
+        &shared,
+        dir,
+        opts,
+        cfg,
+        SpmdOptions::default(),
+        None,
+        &|_, _| true,
+    )?
 }
 
 #[cfg(test)]
@@ -429,18 +250,29 @@ mod tests {
     use super::*;
     use crate::dfpt::dfpt_direction;
     use crate::scf::{scf, ScfOptions};
+    use crate::screening::ScreeningMode;
     use qp_chem::basis::BasisSettings;
     use qp_chem::grids::GridSettings;
     use qp_chem::structures::water;
     use qp_mpi::CollectiveKind;
 
-    fn setup() -> (System, ScfResult) {
+    /// Water on a small light grid, with Fermi–Dirac `smearing` if given.
+    fn water_ground(screening: ScreeningMode, smearing: Option<f64>) -> (System, ScfResult) {
         let mut gs = GridSettings::light();
         gs.n_radial = 24;
         gs.max_angular = 26;
-        let sys = System::build(water(), BasisSettings::Light, &gs, 120, 2);
-        let ground = scf(&sys, &ScfOptions::default()).unwrap();
+        let sys =
+            System::build_with_screening(water(), BasisSettings::Light, &gs, 120, 2, screening);
+        let scf_opts = ScfOptions {
+            smearing,
+            ..ScfOptions::default()
+        };
+        let ground = scf(&sys, &scf_opts).unwrap();
         (sys, ground)
+    }
+
+    fn setup() -> (System, ScfResult) {
+        water_ground(ScreeningMode::Auto, None)
     }
 
     fn cfg(mapping: MappingKind, collectives: CollectiveScheme) -> ParallelConfig {
@@ -452,20 +284,23 @@ mod tests {
         }
     }
 
+    /// One SPMD direction at default options.
+    fn spmd(
+        sys: &System,
+        g: &ScfResult,
+        dir: usize,
+        c: &ParallelConfig,
+    ) -> ParallelDirectionResult {
+        parallel_dfpt_direction(sys, g, dir, &DfptOptions::default(), c).unwrap()
+    }
+
     #[test]
     fn parallel_matches_serial_reference() {
         let (sys, ground) = setup();
         let opts = DfptOptions::default();
         let serial = dfpt_direction(&sys, &ground, 2, &opts).unwrap();
         for mapping in [MappingKind::LoadBalancing, MappingKind::LocalityEnhancing] {
-            let par = parallel_dfpt_direction(
-                &sys,
-                &ground,
-                2,
-                &opts,
-                &cfg(mapping, CollectiveScheme::PerRow),
-            )
-            .unwrap();
+            let par = spmd(&sys, &ground, 2, &cfg(mapping, CollectiveScheme::PerRow));
             assert!(
                 par.p1.max_abs_diff(&serial.p1) < 1e-6,
                 "{mapping:?}: parallel deviates by {}",
@@ -474,76 +309,125 @@ mod tests {
         }
     }
 
+    fn assert_same_bits(a: &DMatrix, b: &DMatrix, what: &str) {
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn one_rank_is_the_serial_cycle_bit_for_bit() {
+        let opts = DfptOptions::default();
+        for (occupations, (sys, ground)) in [
+            ("integer", setup()),
+            ("Fermi-Dirac", water_ground(ScreeningMode::Auto, Some(0.1))),
+        ] {
+            for dir in 0..3 {
+                let serial = dfpt_direction(&sys, &ground, dir, &opts).unwrap();
+                for collectives in [
+                    CollectiveScheme::PerRow,
+                    CollectiveScheme::Packed,
+                    CollectiveScheme::PackedHierarchical,
+                ] {
+                    let one = ParallelConfig {
+                        n_ranks: 1,
+                        ranks_per_node: 1,
+                        ..cfg(MappingKind::LocalityEnhancing, collectives)
+                    };
+                    let par = spmd(&sys, &ground, dir, &one);
+                    assert_eq!(par.iterations, serial.iterations);
+                    let what = format!("{occupations}, dir {dir}, {collectives:?}");
+                    assert_same_bits(&par.p1, &serial.p1, &what);
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_matches_serial_with_smearing() {
         // Fermi–Dirac occupations: the SPMD cycle must use the same
-        // occupation-aware Sternheimer step as the serial driver.
-        let mut gs = GridSettings::light();
-        gs.n_radial = 24;
-        gs.max_angular = 26;
-        let sys = System::build(water(), BasisSettings::Light, &gs, 120, 2);
-        let scf_opts = ScfOptions {
-            smearing: Some(0.1),
-            ..ScfOptions::default()
-        };
-        let ground = scf(&sys, &scf_opts).unwrap();
-        assert!(
-            ground
-                .occupations
-                .iter()
-                .any(|&f| f > 1e-3 && f < 2.0 - 1e-3),
-            "smearing must leave fractional occupations: {:?}",
-            ground.occupations
-        );
+        // occupation-aware Sternheimer step as the serial driver, and its
+        // screened assembly must give the dense bits.
         let opts = DfptOptions::default();
-        let dips: Vec<DMatrix> = (0..3).map(|d| operators::dipole_matrix(&sys, d)).collect();
-        let alpha_col = |p1: &DMatrix| -> Vec<f64> {
-            dips.iter().map(|d| p1.trace_product(d).unwrap()).collect()
+        let two_ranks = ParallelConfig {
+            n_ranks: 2,
+            ..cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed)
+        };
+        let runs: Vec<_> = [ScreeningMode::On, ScreeningMode::Off]
+            .into_iter()
+            .map(|mode| {
+                let (sys, ground) = water_ground(mode, Some(0.1));
+                assert_eq!(sys.screen().is_some(), mode == ScreeningMode::On);
+                assert!(
+                    ground
+                        .occupations
+                        .iter()
+                        .any(|&f| f > 1e-3 && f < 2.0 - 1e-3),
+                    "smearing must leave fractional occupations: {:?}",
+                    ground.occupations
+                );
+                let shared = DfptShared::new(&sys, &ground);
+                (0..3)
+                    .map(|dir| {
+                        let serial = dfpt_direction(&sys, &ground, dir, &opts).unwrap();
+                        let par = spmd(&sys, &ground, dir, &two_ranks);
+                        let (s, p) = (
+                            shared.alpha_column(&serial.p1),
+                            shared.alpha_column(&par.p1),
+                        );
+                        for i in 0..3 {
+                            assert!(
+                                (p[i] - s[i]).abs() <= 1e-6 * s[dir].abs(),
+                                "alpha[{i}][{dir}]: ranks {} vs serial {}",
+                                p[i],
+                                s[i]
+                            );
+                        }
+                        par.p1
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        for dir in 0..3 {
+            let what = format!("dir {dir}: 2-rank screened vs dense");
+            assert_same_bits(&runs[0][dir], &runs[1][dir], &what);
+        }
+    }
+
+    #[test]
+    fn non_convergence_reports_the_last_residual() {
+        let (sys, ground) = setup();
+        let opts = DfptOptions {
+            max_iter: 2,
+            ..DfptOptions::default()
         };
         let two_ranks = ParallelConfig {
             n_ranks: 2,
             ..cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed)
         };
-        for dir in 0..3 {
-            let serial = alpha_col(&dfpt_direction(&sys, &ground, dir, &opts).unwrap().p1);
-            let par = parallel_dfpt_direction(&sys, &ground, dir, &opts, &two_ranks).unwrap();
-            let par = alpha_col(&par.p1);
-            let diag = serial[dir].abs();
-            for i in 0..3 {
-                assert!(
-                    (par[i] - serial[i]).abs() <= 1e-6 * diag,
-                    "alpha[{i}][{dir}]: ranks {} vs serial {}",
-                    par[i],
-                    serial[i]
-                );
+        match parallel_dfpt_direction(&sys, &ground, 0, &opts, &two_ranks) {
+            Err(CoreError::NoConvergence {
+                iterations,
+                residual,
+                ..
+            }) => {
+                assert_eq!(iterations, 2);
+                assert!(residual.is_finite() && residual > opts.tol, "{residual}");
             }
+            other => panic!("expected NoConvergence, got {other:?}"),
         }
     }
 
     #[test]
     fn all_collective_schemes_agree() {
         let (sys, ground) = setup();
-        let opts = DfptOptions::default();
-        let reference = parallel_dfpt_direction(
-            &sys,
-            &ground,
-            0,
-            &opts,
-            &cfg(MappingKind::LocalityEnhancing, CollectiveScheme::PerRow),
-        )
-        .unwrap();
+        let mapping = MappingKind::LocalityEnhancing;
+        let reference = spmd(&sys, &ground, 0, &cfg(mapping, CollectiveScheme::PerRow));
         for scheme in [
             CollectiveScheme::Packed,
             CollectiveScheme::PackedHierarchical,
         ] {
-            let out = parallel_dfpt_direction(
-                &sys,
-                &ground,
-                0,
-                &opts,
-                &cfg(MappingKind::LocalityEnhancing, scheme),
-            )
-            .unwrap();
+            let out = spmd(&sys, &ground, 0, &cfg(mapping, scheme));
             assert!(
                 out.p1.max_abs_diff(&reference.p1) < 1e-8,
                 "{scheme:?} deviates by {}",
@@ -555,23 +439,9 @@ mod tests {
     #[test]
     fn packing_reduces_collective_calls() {
         let (sys, ground) = setup();
-        let opts = DfptOptions::default();
-        let per_row = parallel_dfpt_direction(
-            &sys,
-            &ground,
-            1,
-            &opts,
-            &cfg(MappingKind::LocalityEnhancing, CollectiveScheme::PerRow),
-        )
-        .unwrap();
-        let packed = parallel_dfpt_direction(
-            &sys,
-            &ground,
-            1,
-            &opts,
-            &cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed),
-        )
-        .unwrap();
+        let mapping = MappingKind::LocalityEnhancing;
+        let per_row = spmd(&sys, &ground, 1, &cfg(mapping, CollectiveScheme::PerRow));
+        let packed = spmd(&sys, &ground, 1, &cfg(mapping, CollectiveScheme::Packed));
         let count =
             |t: &[TrafficRecord], k: CollectiveKind| t.iter().filter(|r| r.kind == k).count();
         // Baseline: natoms AllReduce per iteration for rho_multipole (plus
@@ -594,15 +464,8 @@ mod tests {
     #[test]
     fn mapping_balances_points() {
         let (sys, ground) = setup();
-        let opts = DfptOptions::default();
-        let out = parallel_dfpt_direction(
-            &sys,
-            &ground,
-            0,
-            &opts,
-            &cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed),
-        )
-        .unwrap();
+        let packed = cfg(MappingKind::LocalityEnhancing, CollectiveScheme::Packed);
+        let out = spmd(&sys, &ground, 0, &packed);
         let max = *out.points_per_rank.iter().max().unwrap() as f64;
         let min = *out.points_per_rank.iter().min().unwrap() as f64;
         assert!(min > 0.0);

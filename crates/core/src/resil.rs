@@ -18,14 +18,14 @@
 //! restarted attempt sails past the crash site — exactly like a respawned
 //! MPI job on fresh hardware.
 
-use crate::dfpt::DfptOptions;
-use crate::parallel::{assign_batches, DirWork, ParallelConfig, ParallelDirectionResult};
-use crate::scf::{scf_resumable, ScfOptions, ScfResult, ScfState};
+use crate::dfpt::{DfptOptions, DfptShared};
+use crate::parallel::{run_ranks, ParallelConfig, ParallelDirectionResult};
+use crate::scf::{scf_resumable, ScfOptions, ScfResult};
 use crate::system::System;
 use crate::{CoreError, Result};
 use parking_lot::Mutex;
 use qp_machine::machine::MachineModel;
-use qp_mpi::{run_spmd_with, CommError, FaultHook, SpmdOptions};
+use qp_mpi::{Comm, FaultHook, SpmdOptions};
 use qp_resil::recovery::{RecoveryPolicy, RecoveryStats, Supervisor};
 use qp_resil::{DfptCheckpoint, ResilError, ScfCheckpoint};
 use std::path::PathBuf;
@@ -52,18 +52,6 @@ pub struct ResilienceConfig {
     /// Machine whose simulated clock is charged for checkpoint writes and
     /// restarts.
     pub machine: Option<MachineModel>,
-}
-
-impl ResilienceConfig {
-    /// A sensible supervised default: checkpoint every `interval`
-    /// iterations, allow 3 restarts.
-    pub fn with_interval(interval: usize) -> Self {
-        ResilienceConfig {
-            checkpoint_interval: interval,
-            max_restarts: 3,
-            ..ResilienceConfig::default()
-        }
-    }
 }
 
 impl std::fmt::Debug for ResilienceConfig {
@@ -105,10 +93,23 @@ pub fn parallel_dfpt_direction_resilient(
     cfg: &ParallelConfig,
     rcfg: &ResilienceConfig,
 ) -> Result<ResilientDirectionResult> {
-    let assignment = assign_batches(system, cfg);
-    let work = DirWork::new(system, ground, dir, opts, cfg);
-    let interval = rcfg.checkpoint_interval;
+    let shared = DfptShared::new(system, ground);
+    parallel_dfpt_direction_resilient_with(system, ground, &shared, dir, opts, cfg, rcfg)
+}
 
+/// [`parallel_dfpt_direction_resilient`] against precomputed
+/// [`DfptShared`] data. The supervisor reruns the ranks' DFPT cycle; the
+/// cycle's iteration hook on rank 0 commits the checkpoints.
+pub fn parallel_dfpt_direction_resilient_with(
+    system: &System,
+    ground: &ScfResult,
+    shared: &DfptShared,
+    dir: usize,
+    opts: &DfptOptions,
+    cfg: &ParallelConfig,
+    rcfg: &ResilienceConfig,
+) -> Result<ResilientDirectionResult> {
+    let interval = rcfg.checkpoint_interval;
     let ck_path = rcfg
         .checkpoint_dir
         .as_ref()
@@ -118,85 +119,52 @@ pub fn parallel_dfpt_direction_resilient(
         _ => None,
     };
     // The last *committed* checkpoint: written by rank 0 only after every
-    // collective of the covered iteration completed on all ranks, read by
-    // every rank at the top of each attempt.
+    // collective of the covered iteration completed on all ranks, read at
+    // the top of each attempt.
     let store: Mutex<Option<DfptCheckpoint>> = Mutex::new(initial);
     // Checkpoint sizes written during the current attempt, drained into the
     // supervisor between attempts (the SPMD closure cannot borrow it).
     let written: Mutex<Vec<usize>> = Mutex::new(Vec::new());
     // First disk-write error, if any (surfaced after the region exits).
     let io_error: Mutex<Option<ResilError>> = Mutex::new(None);
+    let commit = |comm: &Comm, ck: &DfptCheckpoint| {
+        if comm.rank() != 0 || interval == 0 || !ck.iteration.is_multiple_of(interval) {
+            return true;
+        }
+        written.lock().push(ck.to_bytes().len());
+        if let Some(p) = &ck_path {
+            if let Err(e) = ck.save(p) {
+                *io_error.lock() = Some(e);
+                return false;
+            }
+        }
+        *store.lock() = Some(ck.clone());
+        true
+    };
 
     let mut spmd_opts = SpmdOptions::default();
     spmd_opts.fault.clone_from(&rcfg.fault);
     if let Some(t) = rcfg.comm_timeout {
         spmd_opts = spmd_opts.with_timeout(t);
     }
-
     let mut supervisor = Supervisor::new(RecoveryPolicy {
         max_restarts: rcfg.max_restarts,
         ranks: cfg.n_ranks,
         machine: rcfg.machine,
     });
-
-    // Rank threads take the caller's qp-par target (a lease is per thread).
-    let threads = qp_par::active_threads();
     let run = supervisor.run(|sup, _attempt| {
-        let out = run_spmd_with(cfg.n_ranks, cfg.ranks_per_node, spmd_opts.clone(), |comm| {
-            let _lease = qp_par::ThreadLease::exactly(threads);
-            let rank = comm.rank();
-            let my_batches = DirWork::my_batches(&assignment, rank);
-            let my_points: usize = my_batches.iter().map(|&b| system.batches[b].len()).sum();
-
-            let (mut state, start_iter) = match &*store.lock() {
-                Some(ck) => (
-                    work.state_from(ck.p1.clone(), ck.diis_in.clone(), ck.diis_res.clone()),
-                    ck.iteration,
-                ),
-                None => (work.initial_state(), 0),
-            };
-            let mut iterations = start_iter;
-            let mut converged = false;
-
-            for iter in (start_iter + 1)..=opts.max_iter {
-                // The injection point: a planned crash or stall at
-                // iteration `iter` fires here, before the iteration's
-                // collectives.
-                comm.fault_point("dfpt.iter", iter as u64)?;
-                iterations = iter;
-                let residual = work.iteration(comm, &my_batches, iter, &mut state)?;
-                if residual < opts.tol {
-                    converged = true;
-                    break;
-                }
-                if rank == 0 && interval > 0 && iter % interval == 0 {
-                    let (diis_in, diis_res) = state.mixer.history();
-                    let ck = DfptCheckpoint {
-                        dir,
-                        iteration: iter,
-                        p1: state.p1.clone(),
-                        residual,
-                        diis_in: diis_in.to_vec(),
-                        diis_res: diis_res.to_vec(),
-                    };
-                    written.lock().push(ck.to_bytes().len());
-                    if let Some(p) = &ck_path {
-                        if let Err(e) = ck.save(p) {
-                            *io_error.lock() = Some(e);
-                            return Err(CommError::Mismatch("checkpoint write failed"));
-                        }
-                    }
-                    *store.lock() = Some(ck);
-                }
-            }
-
-            let traffic = if rank == 0 {
-                comm.traffic().snapshot()
-            } else {
-                Vec::new()
-            };
-            Ok((converged, iterations, state.p1.clone(), traffic, my_points))
-        });
+        let resume = store.lock().clone();
+        let out = run_ranks(
+            system,
+            ground,
+            shared,
+            dir,
+            opts,
+            cfg,
+            spmd_opts.clone(),
+            resume.as_ref(),
+            &commit,
+        );
         for bytes in written.lock().drain(..) {
             sup.note_checkpoint(bytes);
         }
@@ -206,24 +174,8 @@ pub fn parallel_dfpt_direction_resilient(
     if let Some(e) = io_error.into_inner() {
         return Err(ck_err(e));
     }
-    let outputs = run.map_err(crate::parallel::comm_failure)?;
-
-    let (converged, iterations, p1, traffic, _) = outputs[0].clone();
-    if !converged {
-        return Err(CoreError::NoConvergence {
-            what: "parallel DFPT self-consistency",
-            iterations,
-            residual: f64::NAN,
-        });
-    }
-    let points_per_rank = outputs.iter().map(|o| o.4).collect();
     Ok(ResilientDirectionResult {
-        direction: ParallelDirectionResult {
-            p1,
-            iterations,
-            traffic,
-            points_per_rank,
-        },
+        direction: run??,
         stats: supervisor.into_stats(),
     })
 }
@@ -240,33 +192,17 @@ pub fn scf_checkpointed(
 ) -> Result<(ScfResult, RecoveryStats)> {
     let ck_path = rcfg.checkpoint_dir.as_ref().map(|d| d.join("scf.qpck"));
     let resume = match (&ck_path, rcfg.restart) {
-        (Some(p), true) if p.exists() => {
-            let ck = ScfCheckpoint::load(p).map_err(ck_err)?;
-            Some(ScfState {
-                start_iter: ck.iteration,
-                energy: ck.energy,
-                p_mat: ck.p_mat,
-                diis_in: ck.diis_in,
-                diis_res: ck.diis_res,
-            })
-        }
+        (Some(p), true) if p.exists() => Some(ScfCheckpoint::load(p).map_err(ck_err)?),
         _ => None,
     };
 
     let interval = rcfg.checkpoint_interval;
     let mut written: Vec<usize> = Vec::new();
     let mut io_error: Option<ResilError> = None;
-    let result = scf_resumable(system, opts, resume, &mut |st| {
-        if interval == 0 || st.start_iter % interval != 0 || io_error.is_some() {
+    let result = scf_resumable(system, opts, resume, &mut |ck| {
+        if interval == 0 || !ck.iteration.is_multiple_of(interval) || io_error.is_some() {
             return;
         }
-        let ck = ScfCheckpoint {
-            iteration: st.start_iter,
-            energy: st.energy,
-            p_mat: st.p_mat.clone(),
-            diis_in: st.diis_in.clone(),
-            diis_res: st.diis_res.clone(),
-        };
         written.push(ck.to_bytes().len());
         if let Some(p) = &ck_path {
             if let Err(e) = ck.save(p) {

@@ -12,6 +12,7 @@ use crate::system::System;
 use crate::{CoreError, Result};
 use qp_chem::xc;
 use qp_linalg::{DMatrix, GeneralizedEigen};
+use qp_resil::ScfCheckpoint;
 
 /// SCF options.
 #[derive(Debug, Clone, Copy)]
@@ -70,24 +71,6 @@ pub struct ScfResult {
     pub iterations: usize,
 }
 
-/// The loop-carried SCF state between iterations: everything needed to
-/// resume the cycle at `start_iter + 1` and replay the remaining
-/// iterations bit-exactly. Snapshotted by the checkpoint layer
-/// (`qp-resil`) and fed back through [`scf_resumable`].
-#[derive(Debug, Clone)]
-pub struct ScfState {
-    /// Completed SCF iterations.
-    pub start_iter: usize,
-    /// Kohn–Sham total energy at `start_iter` (diagnostic).
-    pub energy: f64,
-    /// The mixed density matrix seeding iteration `start_iter + 1`.
-    pub p_mat: DMatrix,
-    /// Pulay/DIIS input-density history.
-    pub diis_in: Vec<DMatrix>,
-    /// Pulay/DIIS residual history.
-    pub diis_res: Vec<DMatrix>,
-}
-
 /// Electronic dipole moment `∫ r_I n(r) d³r` for each Cartesian direction,
 /// from the density on the grid.
 pub fn electronic_dipole(system: &System, density: &[f64]) -> [f64; 3] {
@@ -106,7 +89,7 @@ pub enum ScfOutcome {
     Converged(ScfResult),
     /// The `on_iter` callback requested preemption; resume later by
     /// passing this state back to [`scf_preemptible`].
-    Preempted(ScfState),
+    Preempted(ScfCheckpoint),
 }
 
 /// Run the ground-state SCF.
@@ -115,14 +98,14 @@ pub fn scf(system: &System, opts: &ScfOptions) -> Result<ScfResult> {
 }
 
 /// [`scf`] with checkpoint/restart hooks: `resume` seeds the loop from a
-/// previously captured [`ScfState`] (replaying the remaining iterations
+/// previously captured [`ScfCheckpoint`] (replaying the remaining iterations
 /// bit-exactly), and `on_iter` observes the loop-carried state after every
 /// non-converged iteration (the checkpoint layer snapshots it there).
 pub fn scf_resumable(
     system: &System,
     opts: &ScfOptions,
-    resume: Option<ScfState>,
-    on_iter: &mut dyn FnMut(&ScfState),
+    resume: Option<ScfCheckpoint>,
+    on_iter: &mut dyn FnMut(&ScfCheckpoint),
 ) -> Result<ScfResult> {
     match scf_preemptible(system, opts, resume, &mut |st| {
         on_iter(st);
@@ -136,14 +119,14 @@ pub fn scf_resumable(
 /// [`scf_resumable`] whose `on_iter` callback can additionally request
 /// preemption at an iteration boundary by returning `false` — the
 /// resumable-run entry point the serving layer (`qp-serve`) drives. The
-/// returned [`ScfState`] is exactly what a later call replays from, and
+/// returned [`ScfCheckpoint`] is exactly what a later call replays from, and
 /// the preempted-then-resumed cycle lands on the bit-identical ground
 /// state (the replay argument of `tests/integration_resilience.rs`).
 pub fn scf_preemptible(
     system: &System,
     opts: &ScfOptions,
-    resume: Option<ScfState>,
-    on_iter: &mut dyn FnMut(&ScfState) -> bool,
+    resume: Option<ScfCheckpoint>,
+    on_iter: &mut dyn FnMut(&ScfCheckpoint) -> bool,
 ) -> Result<ScfOutcome> {
     let mut scf_span =
         qp_trace::SpanGuard::begin(qp_trace::thread_rank(), qp_trace::Phase::Scf, "scf");
@@ -192,7 +175,7 @@ pub fn scf_preemptible(
         }
     };
     let (start_iter, mut p_mat, mut diis_in, mut diis_res) = match resume {
-        Some(st) => (st.start_iter, st.p_mat, st.diis_in, st.diis_res),
+        Some(st) => (st.iteration, st.p_mat, st.diis_in, st.diis_res),
         None => {
             let dec0 = eigen.solve(&h_core)?;
             let occ0 = occupy(&dec0.eigenvalues);
@@ -309,8 +292,8 @@ pub fn scf_preemptible(
             mixed
         };
 
-        let state = ScfState {
-            start_iter: iter,
+        let state = ScfCheckpoint {
+            iteration: iter,
             energy,
             p_mat: p_mat.clone(),
             diis_in: diis_in.clone(),

@@ -80,6 +80,35 @@ impl BatchBasisTable {
     }
 }
 
+/// One rank's share of the grid under a task mapping: the batches it owns,
+/// ascending, and per grid point whether it lies in one of them. The grid
+/// phases ([`System::density_on`], [`System::multipole_moments`],
+/// [`System::potential_of_moments`], [`crate::operators::potential_matrix_on`])
+/// take an optional subset and, given one, do this rank's part of the work.
+#[derive(Debug, Clone)]
+pub struct BatchSubset {
+    batches: Vec<usize>,
+    owned: Vec<bool>,
+}
+
+impl BatchSubset {
+    /// The subset of `system`'s grid made of `batches` (ascending ids).
+    pub fn new(system: &System, batches: Vec<usize>) -> Self {
+        let mut owned = vec![false; system.n_points()];
+        for &b in &batches {
+            for pt in &system.batches[b].points {
+                owned[pt.grid_index as usize] = true;
+            }
+        }
+        BatchSubset { batches, owned }
+    }
+
+    /// The owned batch ids, ascending.
+    pub fn batches(&self) -> &[usize] {
+        &self.batches
+    }
+}
+
 /// A ready-to-run simulation system.
 pub struct System {
     /// The molecular structure.
@@ -206,11 +235,6 @@ impl System {
         self.screen.as_ref()
     }
 
-    /// The far-field evaluation mode this system was built with.
-    pub fn farfield_mode(&self) -> FarFieldMode {
-        self.farfield
-    }
-
     /// The atom-cluster tree for hierarchical far-field evaluation, built
     /// once on first use. `None` when the mode resolves to the direct path
     /// for this structure — under `auto`, whenever the Hartree plan fits
@@ -275,26 +299,68 @@ impl System {
     /// Each point's potential lands in its own slot, so the result is
     /// bit-identical at any thread count.
     pub fn hartree_potential_with(&self, density: &[f64], tree: Option<&ClusterTree>) -> Vec<f64> {
+        let moments = self.multipole_moments(density, None);
+        self.potential_of_moments(&moments, tree, None)
+    }
+
+    /// The `rho_multipole` moments of `density` (one value per grid point),
+    /// from the points of `subset` only when one is given: each atom walks
+    /// its own kept points in grid order, so a subset holding every
+    /// batch gives the whole-grid bits.
+    pub fn multipole_moments(
+        &self,
+        density: &[f64],
+        subset: Option<&BatchSubset>,
+    ) -> MultipoleMoments {
+        let owned = subset.map(|s| s.owned.as_slice());
+        match self.hartree_plan().as_deref() {
+            Some(pl) => MultipoleMoments::compute_planned_on(
+                &self.structure,
+                &self.grid,
+                density,
+                pl,
+                owned,
+            ),
+            None => {
+                MultipoleMoments::compute_on(&self.structure, &self.grid, density, self.lmax, owned)
+            }
+        }
+    }
+
+    /// The Hartree potential of complete `moments`: the radial Poisson
+    /// solve, then the per-point fill (see [`System::hartree_potential_with`]
+    /// for `tree`) at every grid point, or at `subset`'s points only
+    /// (`0.0` elsewhere).
+    pub fn potential_of_moments(
+        &self,
+        moments: &MultipoleMoments,
+        tree: Option<&ClusterTree>,
+        subset: Option<&BatchSubset>,
+    ) -> Vec<f64> {
         let plan = self.hartree_plan();
-        let moments = match plan.as_deref() {
-            Some(pl) => MultipoleMoments::compute_planned(&self.structure, &self.grid, density, pl),
-            None => MultipoleMoments::compute(&self.structure, &self.grid, density, self.lmax),
-        };
-        let hartree = solve_poisson(&self.structure, &self.grid, &moments);
+        let hartree = solve_poisson(&self.structure, &self.grid, moments);
         let natoms = self.structure.len() as u64;
         let points = &self.grid.points;
         let mut v = vec![0.0; points.len()];
+        let mut fill = |ns_per_point: u64, eval: &(dyn Fn(usize) -> f64 + Sync)| {
+            qp_par::fill_slice_hinted(&mut v, ns_per_point, |ip| {
+                let owned = subset.is_none_or(|s| s.owned[ip]);
+                if owned {
+                    eval(ip)
+                } else {
+                    0.0
+                }
+            })
+        };
         match (tree, plan.as_deref()) {
             (Some(tree), _) => {
                 let far = FarField::aggregate(tree, &hartree, farfield_tol());
-                qp_par::fill_slice_hinted(&mut v, TREE_POINT_NS, |ip| {
+                fill(TREE_POINT_NS, &|ip| {
                     far.eval(tree, &hartree, points[ip].position)
                 });
             }
-            (None, Some(pl)) => qp_par::fill_slice_hinted(&mut v, natoms * PLANNED_PAIR_NS, |ip| {
-                hartree.eval_planned(pl, ip)
-            }),
-            (None, None) => qp_par::fill_slice_hinted(&mut v, natoms * DIRECT_PAIR_NS, |ip| {
+            (None, Some(pl)) => fill(natoms * PLANNED_PAIR_NS, &|ip| hartree.eval_planned(pl, ip)),
+            (None, None) => fill(natoms * DIRECT_PAIR_NS, &|ip| {
                 hartree.eval(points[ip].position)
             }),
         }
@@ -412,6 +478,12 @@ impl System {
     /// regardless of scheduling, so the result is bit-identical at any
     /// thread count.
     pub fn density_on_grid(&self, p_mat: &qp_linalg::DMatrix) -> Vec<f64> {
+        self.density_on(p_mat, None)
+    }
+
+    /// [`density_on_grid`](Self::density_on_grid) at the points of
+    /// `subset`'s batches only (`0.0` elsewhere) when one is given.
+    pub fn density_on(&self, p_mat: &qp_linalg::DMatrix, subset: Option<&BatchSubset>) -> Vec<f64> {
         let mut density = vec![0.0; self.grid.len()];
         struct OutPtr(*mut f64);
         unsafe impl Send for OutPtr {}
@@ -423,7 +495,9 @@ impl System {
         let nb = self.n_basis();
         let est = ((avg_np * nb * nb) / 2).max(1) as u64;
         let out = &out;
-        qp_par::for_each_index_hinted(self.batches.len(), est, |bid| {
+        let n = subset.map_or(self.batches.len(), |s| s.batches.len());
+        qp_par::for_each_index_hinted(n, est, |k| {
+            let bid = subset.map_or(k, |s| s.batches[k]);
             let local = self.batch_density(bid, p_mat);
             let batch = &self.batches[bid];
             for (pi, &v) in local.iter().enumerate() {

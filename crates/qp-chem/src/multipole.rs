@@ -234,13 +234,32 @@ impl MultipoleMoments {
         density: &[f64],
         lmax: usize,
     ) -> Self {
+        Self::compute_on(structure, grid, density, lmax, None)
+    }
+
+    /// [`compute`](Self::compute) over the grid points with
+    /// `owned[ip] == true` only (every point when `owned` is `None`): one
+    /// rank's partial moments under a task mapping. Skipped points are not
+    /// visited, and the kept ones are visited in grid order, so the rows
+    /// summed over a partition of the grid equal the whole-grid moments up
+    /// to the order of that sum.
+    pub fn compute_on(
+        structure: &Structure,
+        grid: &IntegrationGrid,
+        density: &[f64],
+        lmax: usize,
+        owned: Option<&[bool]>,
+    ) -> Self {
         assert_eq!(density.len(), grid.points.len());
         let n_lm = num_harmonics(lmax);
         let n_shells = grid.radial.len();
         let fourpi = 4.0 * std::f64::consts::PI;
         let mut moments = vec![vec![0.0; n_shells * n_lm]; structure.len()];
         let mut ylm = vec![0.0; n_lm];
-        for (p, &n_val) in grid.points.iter().zip(density.iter()) {
+        for (ip, (p, &n_val)) in grid.points.iter().zip(density.iter()).enumerate() {
+            if owned.is_some_and(|o| !o[ip]) {
+                continue;
+            }
             let ia = p.atom as usize;
             let center = structure.atoms[ia].position;
             let dir = [
@@ -277,6 +296,19 @@ impl MultipoleMoments {
         density: &[f64],
         plan: &HartreePlan,
     ) -> Self {
+        Self::compute_planned_on(structure, grid, density, plan, None)
+    }
+
+    /// [`compute_planned`](Self::compute_planned) over the points with
+    /// `owned[ip] == true` only; bit-identical to
+    /// [`compute_on`](Self::compute_on) with the same mask.
+    pub fn compute_planned_on(
+        structure: &Structure,
+        grid: &IntegrationGrid,
+        density: &[f64],
+        plan: &HartreePlan,
+        owned: Option<&[bool]>,
+    ) -> Self {
         assert_eq!(density.len(), grid.points.len());
         assert_eq!(plan.natoms, structure.len());
         let lmax = plan.lmax;
@@ -291,6 +323,9 @@ impl MultipoleMoments {
             let mut row = vec![0.0f64; n_shells * n_lm];
             for &ip32 in &plan.atom_points[ia] {
                 let ip = ip32 as usize;
+                if owned.is_some_and(|o| !o[ip]) {
+                    continue;
+                }
                 let p = &grid.points[ip];
                 let base = p.shell as usize * n_lm;
                 let f = fourpi * p.w_angular * p.partition * density[ip];
@@ -573,12 +608,6 @@ impl HartreeSolution {
             };
         }
         v
-    }
-
-    /// Total bytes of the packed spline tables (knots, values and second
-    /// derivatives) — the `delta_v_hart_part_spl` volume of Fig. 12(a).
-    pub fn spline_table_bytes(&self) -> usize {
-        (self.knots.len() + self.spl.len()) * std::mem::size_of::<f64>()
     }
 }
 

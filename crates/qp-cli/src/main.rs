@@ -22,8 +22,8 @@ use qp_chem::grids::GridSettings;
 use qp_core::parallel::{CollectiveScheme, MappingKind, ParallelConfig};
 use qp_core::resil::scf_checkpointed;
 use qp_core::{
-    dfpt, properties, scf, DfptOptions, FarFieldMode, ResilienceConfig, ScfOptions, ScfResult,
-    ScreeningMode, System,
+    dfpt, parallel_dfpt_direction_resilient_with, properties, scf, DfptOptions, DfptShared,
+    FarFieldMode, ResilienceConfig, ScfOptions, ScfResult, ScreeningMode, System,
 };
 use qp_trace::{qp_error, qp_info, qp_warn};
 use std::path::PathBuf;
@@ -535,17 +535,20 @@ fn dfpt_resilient(
     cfg: &ParallelConfig,
     rcfg: &ResilienceConfig,
 ) -> Result<(qp_linalg::DMatrix, [usize; 3]), qp_core::CoreError> {
-    let dips: Vec<_> = (0..3)
-        .map(|i| qp_core::operators::dipole_matrix(system, i))
-        .collect();
+    let shared = DfptShared::new(system, ground);
     let mut alpha = qp_linalg::DMatrix::zeros(3, 3);
     let mut iterations = [0usize; 3];
     let mut restarts = 0;
     let mut checkpoints = 0;
     for j in 0..3 {
-        let out = qp_core::parallel_dfpt_direction_resilient(system, ground, j, opts, cfg, rcfg)?;
-        for i in 0..3 {
-            alpha[(i, j)] = out.direction.p1.trace_product(&dips[i])?;
+        let out =
+            parallel_dfpt_direction_resilient_with(system, ground, &shared, j, opts, cfg, rcfg)?;
+        for (i, a_ij) in shared
+            .alpha_column(&out.direction.p1)
+            .into_iter()
+            .enumerate()
+        {
+            alpha[(i, j)] = a_ij;
         }
         iterations[j] = out.direction.iterations;
         restarts += out.stats.restarts;

@@ -340,12 +340,6 @@ impl Comm {
             .clone()
     }
 
-    /// Drop a node window so a later call recreates it fresh.
-    pub fn drop_node_window(&self, key: &str) {
-        let full_key = format!("{key}@node{}", self.node());
-        self.core.windows.lock().remove(&full_key);
-    }
-
     /// Mark this rank as failed: every rank blocked (or subsequently
     /// blocking) on a collective gets [`CommError::RankFailed`].
     pub fn inject_failure(&self) {

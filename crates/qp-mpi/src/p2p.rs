@@ -1,11 +1,11 @@
 //! Point-to-point messaging: `send`/`recv` with tag matching.
 //!
-//! The collectives cover the DFPT hot paths; point-to-point is the substrate
-//! the distributed dense-linear-algebra layer (`qp-core::dist`, the
-//! ScaLAPACK stand-in) uses for panel shifts. Semantics follow MPI:
-//! `send` is asynchronous (buffered), `recv` blocks until a matching
-//! `(source, tag)` message arrives; messages between one (source, dest, tag)
-//! triple are non-overtaking (FIFO).
+//! The collectives cover the DFPT hot paths; point-to-point carries the
+//! `QP_FAULT` `drop`/`corrupt` clauses (message loss and corruption on the
+//! n-th matching send) that the resilience tests exercise. Semantics follow
+//! MPI: `send` is asynchronous (buffered), `recv` blocks until a matching
+//! `(source, tag)` message arrives; messages between one (source, dest,
+//! tag) triple are non-overtaking (FIFO).
 
 use crate::comm::{Comm, CommError};
 use parking_lot::{Condvar, Mutex};
@@ -122,17 +122,6 @@ impl Comm {
                 .arg("bytes", payload.len() * 8);
         }
         Ok(payload)
-    }
-
-    /// Combined exchange with a partner (deadlock-free: send is buffered).
-    pub fn sendrecv(
-        &self,
-        partner: usize,
-        tag: u64,
-        data: Vec<f64>,
-    ) -> Result<Vec<f64>, CommError> {
-        self.send(partner, tag, data)?;
-        self.recv(partner, tag)
     }
 }
 

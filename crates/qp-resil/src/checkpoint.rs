@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "QPCK"
-//! 4       4     format version (u32, currently 3)
+//! 4       4     format version (u32, currently 4)
 //! 8       1     kind (1 = SCF, 2 = DFPT)
 //! 9       8     payload length (u64)
 //! 17      8     FNV-1a 64 checksum of the payload
@@ -17,7 +17,9 @@
 //! so a restarted direction replays the DIIS-accelerated sequence
 //! bit-exactly. v3 drops `c1` from DFPT checkpoints: the distributed cycle
 //! mixes `P¹` like the serial one, so `P¹` and the mixer history are the
-//! whole loop state. Loads reject other versions (an older file cannot
+//! whole loop state. v4 encodes a served job's in-flight direction as a
+//! [`DfptCheckpoint`] (the one per-direction state of the DFPT cycle),
+//! which reorders that payload's fields. Loads reject other versions (an older file cannot
 //! seed the current mixer without silently changing the replayed
 //! trajectory).
 //!
@@ -37,7 +39,7 @@ use qp_linalg::DMatrix;
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"QPCK";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 8;
 
 const KIND_SCF: u8 = 1;
@@ -279,7 +281,10 @@ impl ScfCheckpoint {
 }
 
 /// Loop-carried DFPT state for one field direction: resume the Sternheimer
-/// cycle at `iteration + 1` with the mixed `P¹`.
+/// cycle at `iteration + 1` with the mixed `P¹` and replay the remaining
+/// iterations bit-exactly (the mixer is deterministic in its inputs). The
+/// DFPT cycle's resume/hook type: written by the supervised SPMD driver and
+/// carried as a served job's in-flight direction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DfptCheckpoint {
     /// Cartesian direction (0 = x, 1 = y, 2 = z).
@@ -297,29 +302,37 @@ pub struct DfptCheckpoint {
 }
 
 impl DfptCheckpoint {
-    /// Serialize to the framed `QPCK` byte representation.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::default();
+    fn encode_payload(&self, e: &mut Encoder) {
         e.put_usize(self.dir);
         e.put_usize(self.iteration);
         e.put_matrix(&self.p1);
         e.put_f64(self.residual);
         e.put_matrices(&self.diis_in);
         e.put_matrices(&self.diis_res);
-        frame(KIND_DFPT, &e.buf)
     }
 
-    /// Decode from framed bytes, verifying header and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut d = Decoder::new(unframe(bytes, KIND_DFPT)?);
-        let out = DfptCheckpoint {
+    fn decode_payload(d: &mut Decoder) -> Result<Self> {
+        Ok(DfptCheckpoint {
             dir: d.usize()?,
             iteration: d.usize()?,
             p1: d.matrix()?,
             residual: d.f64()?,
             diis_in: d.matrices()?,
             diis_res: d.matrices()?,
-        };
+        })
+    }
+
+    /// Serialize to the framed `QPCK` byte representation.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut e = Encoder::default();
+        self.encode_payload(&mut e);
+        frame(KIND_DFPT, &e.buf)
+    }
+
+    /// Decode from framed bytes, verifying header and checksum.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let mut d = Decoder::new(unframe(bytes, KIND_DFPT)?);
+        let out = Self::decode_payload(&mut d)?;
         d.finish()?;
         Ok(out)
     }
@@ -345,46 +358,6 @@ pub struct JobDoneDirection {
     pub alpha_col: [f64; 3],
 }
 
-/// The in-flight DFPT direction of a preempted job: the serial analogue of
-/// [`DfptCheckpoint`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobDirCheckpoint {
-    /// Cartesian direction (0 = x, 1 = y, 2 = z).
-    pub dir: usize,
-    /// Completed DFPT iterations.
-    pub iteration: usize,
-    /// `‖ΔP¹‖` at `iteration` (diagnostic only).
-    pub residual: f64,
-    /// Mixed response density matrix entering the next iteration.
-    pub p1: DMatrix,
-    /// Pulay/DIIS mixer input history (empty under linear mixing).
-    pub diis_in: Vec<DMatrix>,
-    /// Pulay/DIIS mixer residual history (same length as `diis_in`).
-    pub diis_res: Vec<DMatrix>,
-}
-
-impl JobDirCheckpoint {
-    fn encode_payload(&self, e: &mut Encoder) {
-        e.put_usize(self.dir);
-        e.put_usize(self.iteration);
-        e.put_f64(self.residual);
-        e.put_matrix(&self.p1);
-        e.put_matrices(&self.diis_in);
-        e.put_matrices(&self.diis_res);
-    }
-
-    fn decode_payload(d: &mut Decoder) -> Result<Self> {
-        Ok(JobDirCheckpoint {
-            dir: d.usize()?,
-            iteration: d.usize()?,
-            residual: d.f64()?,
-            p1: d.matrix()?,
-            diis_in: d.matrices()?,
-            diis_res: d.matrices()?,
-        })
-    }
-}
-
 /// The preempt/resume state of one *served* simulation job: where the
 /// request was interrupted, and everything needed to replay the remainder
 /// bit-exactly. This is the `QPCK` payload behind `qp-serve`'s
@@ -408,7 +381,7 @@ pub struct JobCheckpoint {
     /// Directions already converged, in direction order.
     pub dirs_done: Vec<JobDoneDirection>,
     /// The direction that was interrupted mid-cycle, if any.
-    pub cur_dir: Option<JobDirCheckpoint>,
+    pub cur_dir: Option<DfptCheckpoint>,
 }
 
 impl JobCheckpoint {
@@ -465,7 +438,7 @@ impl JobCheckpoint {
         }
         let cur_dir = match d.u64()? {
             0 => None,
-            1 => Some(JobDirCheckpoint::decode_payload(&mut d)?),
+            1 => Some(DfptCheckpoint::decode_payload(&mut d)?),
             _ => return Err(ResilError::Format("bad option tag")),
         };
         d.finish()?;
@@ -551,11 +524,11 @@ mod tests {
                 iterations: 11,
                 alpha_col: [8.25, -0.001, f64::MIN_POSITIVE],
             }],
-            cur_dir: Some(JobDirCheckpoint {
+            cur_dir: Some(DfptCheckpoint {
                 dir: 1,
                 iteration: 4,
-                residual: 3.5e-4,
                 p1: mat(2, 2, &[0.0, 1.0, 1.0, -2.0]),
+                residual: 3.5e-4,
                 diis_in: vec![mat(2, 2, &[0.125; 4]); 2],
                 diis_res: vec![mat(2, 2, &[-1e-5; 4]); 2],
             }),

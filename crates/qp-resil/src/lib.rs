@@ -26,9 +26,7 @@ pub mod checkpoint;
 pub mod fault;
 pub mod recovery;
 
-pub use checkpoint::{
-    DfptCheckpoint, JobCheckpoint, JobDirCheckpoint, JobDoneDirection, ScfCheckpoint,
-};
+pub use checkpoint::{DfptCheckpoint, JobCheckpoint, JobDoneDirection, ScfCheckpoint};
 pub use fault::FaultPlan;
 pub use qp_mpi::{FaultDecision, FaultHook};
 pub use recovery::{RecoveryPolicy, RecoveryStats, Supervisor};

@@ -20,11 +20,11 @@ use crate::request::JobRequest;
 use crate::result::JobResultData;
 use crate::ServeError;
 use qp_core::{
-    dfpt_direction_preemptible, properties, scf_preemptible, DfptDirState, DfptShared, DirOutcome,
-    ScfOutcome, ScfState, System,
+    dfpt_direction_preemptible, properties, scf_preemptible, DfptShared, DirOutcome, ScfOutcome,
+    System,
 };
 use qp_linalg::DMatrix;
-use qp_resil::{JobCheckpoint, JobDirCheckpoint, JobDoneDirection, ScfCheckpoint};
+use qp_resil::{JobCheckpoint, JobDoneDirection, ScfCheckpoint};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -44,47 +44,6 @@ pub type ProgressFn<'a> = dyn FnMut(&str) + 'a;
 /// How often (in iterations) the engine persists a `QPCK` checkpoint while
 /// running. Preemption and shutdown always persist regardless.
 pub const CHECKPOINT_INTERVAL: usize = 2;
-
-fn scf_state_to_ckpt(s: &ScfState) -> ScfCheckpoint {
-    ScfCheckpoint {
-        iteration: s.start_iter,
-        energy: s.energy,
-        p_mat: s.p_mat.clone(),
-        diis_in: s.diis_in.clone(),
-        diis_res: s.diis_res.clone(),
-    }
-}
-
-fn scf_ckpt_to_state(c: ScfCheckpoint) -> ScfState {
-    ScfState {
-        start_iter: c.iteration,
-        energy: c.energy,
-        p_mat: c.p_mat,
-        diis_in: c.diis_in,
-        diis_res: c.diis_res,
-    }
-}
-
-fn dir_state_to_ckpt(dir: usize, s: &DfptDirState) -> JobDirCheckpoint {
-    JobDirCheckpoint {
-        dir,
-        iteration: s.iteration,
-        residual: s.residual,
-        p1: s.p1.clone(),
-        diis_in: s.diis_in.clone(),
-        diis_res: s.diis_res.clone(),
-    }
-}
-
-fn dir_ckpt_to_state(c: JobDirCheckpoint) -> DfptDirState {
-    DfptDirState {
-        iteration: c.iteration,
-        p1: c.p1,
-        residual: c.residual,
-        diis_in: c.diis_in,
-        diis_res: c.diis_res,
-    }
-}
 
 fn persist(ckpt: &JobCheckpoint, path: Option<&Path>) -> Result<(), ServeError> {
     if let Some(p) = path {
@@ -140,54 +99,47 @@ pub fn run_job(
     // The SCF seed is the latest non-converged state; resume replays the
     // short tail of the cycle, which determinism makes exact.
     let incoming_scf_seed = scf_seed.clone();
-    let mut latest_scf: Option<ScfState> = None;
-    let scf_out = scf_preemptible(
-        &system,
-        &req.scf,
-        scf_seed.map(scf_ckpt_to_state),
-        &mut |st| {
-            progress(&format!(
-                "scf iter={} energy={:.10}",
-                st.start_iter, st.energy
-            ));
-            let stop = preempt.load(Ordering::Relaxed);
-            if stop || st.start_iter % CHECKPOINT_INTERVAL == 0 {
-                let ckpt = JobCheckpoint {
-                    key,
-                    scf: Some(scf_state_to_ckpt(st)),
-                    dirs_done: Vec::new(),
-                    cur_dir: None,
-                };
-                // Persist failures surface on the preempt path below; a
-                // periodic write that fails only costs resume granularity.
-                let _ = persist(&ckpt, ckpt_path);
-            }
-            latest_scf = Some(st.clone());
-            !stop
-        },
-    )
+    let mut latest_scf: Option<ScfCheckpoint> = None;
+    let scf_out = scf_preemptible(&system, &req.scf, scf_seed, &mut |st| {
+        progress(&format!(
+            "scf iter={} energy={:.10}",
+            st.iteration, st.energy
+        ));
+        let stop = preempt.load(Ordering::Relaxed);
+        if stop || st.iteration % CHECKPOINT_INTERVAL == 0 {
+            let ckpt = JobCheckpoint {
+                key,
+                scf: Some(st.clone()),
+                dirs_done: Vec::new(),
+                cur_dir: None,
+            };
+            // Persist failures surface on the preempt path below; a
+            // periodic write that fails only costs resume granularity.
+            let _ = persist(&ckpt, ckpt_path);
+        }
+        latest_scf = Some(st.clone());
+        !stop
+    })
     .map_err(|e| ServeError::Engine(format!("SCF failed: {e}")))?;
 
     let ground = match scf_out {
         ScfOutcome::Converged(g) => g,
         ScfOutcome::Preempted(st) => {
+            let iteration = st.iteration;
             let ckpt = JobCheckpoint {
                 key,
-                scf: Some(scf_state_to_ckpt(&st)),
+                scf: Some(st),
                 dirs_done: Vec::new(),
                 cur_dir: None,
             };
             persist(&ckpt, ckpt_path)?;
-            progress(&format!("preempted during scf at iter={}", st.start_iter));
+            progress(&format!("preempted during scf at iter={iteration}"));
             return Ok(EngineOutcome::Preempted(Box::new(ckpt)));
         }
     };
     // Prefer the freshest captured state; fall back to the seed we resumed
     // from (a fast tail replay may converge before a new capture fires).
-    let scf_seed_for_ckpt = latest_scf
-        .as_ref()
-        .map(scf_state_to_ckpt)
-        .or(incoming_scf_seed);
+    let scf_seed_for_ckpt = latest_scf.or(incoming_scf_seed);
     progress(&format!(
         "scf converged: {} iterations, E={:.10} Ha",
         ground.iterations, ground.energy
@@ -200,7 +152,7 @@ pub fn run_job(
     while dirs_done.len() < 3 {
         let j = dirs_done.len();
         let dir_resume = match cur_dir.take() {
-            Some(c) if c.dir == j => Some(dir_ckpt_to_state(c)),
+            Some(c) if c.dir == j => Some(c),
             // A checkpoint from an older protocol round with a stale
             // direction index restarts that direction from scratch;
             // determinism keeps the result identical either way.
@@ -212,6 +164,7 @@ pub fn run_job(
             &shared,
             j,
             &req.dfpt,
+            None,
             dir_resume,
             &mut |st| {
                 progress(&format!(
@@ -224,7 +177,7 @@ pub fn run_job(
                         key,
                         scf: scf_seed_for_ckpt.clone(),
                         dirs_done: dirs_done.clone(),
-                        cur_dir: Some(dir_state_to_ckpt(j, st)),
+                        cur_dir: Some(st.clone()),
                     };
                     let _ = persist(&ckpt, ckpt_path);
                 }
@@ -235,16 +188,9 @@ pub fn run_job(
 
         match outcome {
             DirOutcome::Converged(resp) => {
-                let mut alpha_col = [0.0; 3];
-                for (i, a) in alpha_col.iter_mut().enumerate() {
-                    *a = resp
-                        .p1
-                        .trace_product(&shared.dips[i])
-                        .expect("conforming dims");
-                }
                 dirs_done.push(JobDoneDirection {
                     iterations: resp.iterations,
-                    alpha_col,
+                    alpha_col: shared.alpha_column(&resp.p1),
                 });
                 progress(&format!(
                     "dfpt dir={j} converged in {} iterations",
@@ -252,16 +198,16 @@ pub fn run_job(
                 ));
             }
             DirOutcome::Preempted(st) => {
+                let iteration = st.iteration;
                 let ckpt = JobCheckpoint {
                     key,
                     scf: scf_seed_for_ckpt.clone(),
                     dirs_done: dirs_done.clone(),
-                    cur_dir: Some(dir_state_to_ckpt(j, &st)),
+                    cur_dir: Some(st),
                 };
                 persist(&ckpt, ckpt_path)?;
                 progress(&format!(
-                    "preempted during dfpt dir={j} at iter={}",
-                    st.iteration
+                    "preempted during dfpt dir={j} at iter={iteration}"
                 ));
                 return Ok(EngineOutcome::Preempted(Box::new(ckpt)));
             }

@@ -63,6 +63,22 @@ for mol in water polymer:8; do
 done
 rm -rf "$screen_dir"
 
+echo "== one rank == serial: byte-identical result records (QP_THREADS=3)"
+# The SPMD path is the serial DFPT cycle with a rank view; at one rank its
+# partial phases cover the whole grid in serial order and every reduction
+# returns its input, so the record must not change by a bit.
+rank_dir="$(mktemp -d)"
+for mol in water polymer:8; do
+  tag="${mol/:/_}"
+  QP_LOG=warn QP_THREADS=3 ./target/release/qperturb --builtin "$mol" \
+      --grid coarse --result-json "$rank_dir/${tag}_serial.json" > /dev/null
+  QP_LOG=warn QP_THREADS=3 ./target/release/qperturb --builtin "$mol" \
+      --grid coarse --ranks 1 --result-json "$rank_dir/${tag}_ranks1.json" > /dev/null
+  cmp "$rank_dir/${tag}_serial.json" "$rank_dir/${tag}_ranks1.json"
+  echo "-- $mol --ranks 1 == serial (byte-identical)"
+done
+rm -rf "$rank_dir"
+
 echo "== far field: tree-served polarizability vs the direct oracle (QP_THREADS=3)"
 # The tree far field is on a tolerance contract (QP_FARFIELD_TOL), not a
 # byte one: the full DFPT observable must land within 1e-6 Bohr^3 of the
